@@ -18,13 +18,7 @@ from .forecast import (
     sample_ppt,
 )
 from .graph import RegionGraph, load_region_graph, path_graph
-from .likelihood import (
-    NoiseParams,
-    build_covariance,
-    build_precision,
-    log_likelihood,
-    log_likelihood_grad,
-)
+from .likelihood import NoiseParams, build_precision, log_likelihood, log_likelihood_and_grad
 from .mcmc import AmcmcConfig, ChainState, compare_posteriors, run_amcmc
 from .model import (
     IncubationParams,
@@ -79,7 +73,6 @@ __all__ = [
     "RunConfig",
     "TransformSpec",
     "VariationalState",
-    "build_covariance",
     "build_precision",
     "cluster_regions",
     "compare_posteriors",
@@ -100,7 +93,7 @@ __all__ = [
     "ingest_cases",
     "load_region_graph",
     "log_likelihood",
-    "log_likelihood_grad",
+    "log_likelihood_and_grad",
     "log_posterior",
     "log_posterior_and_grad",
     "mle_fit",

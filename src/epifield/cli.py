@@ -321,9 +321,7 @@ def main(argv=None):
         cfg = _load_config(args)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (DivergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         diag = Path(args.out) / "diagnostics.txt"
         try:
@@ -332,6 +330,9 @@ def main(argv=None):
             pass
         print(f"numerical failure: {exc} (diagnostics in {diag})", file=sys.stderr)
         return 3
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

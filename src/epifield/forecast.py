@@ -85,7 +85,7 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0, max_r
         except (ValueError, np.linalg.LinAlgError):
             retries += 1
             if retries > max_retries:
-                raise ValueError(f"covariance factorization failed {retries} times in a row")
+                raise np.linalg.LinAlgError(f"covariance factorization failed {retries} times in a row")
             continue
         retries = 0
         z = rng.standard_normal((day_grid.size, ctx.n_regions))

@@ -46,10 +46,6 @@ class RegionGraph:
     def degrees(self):
         return self.W.sum(axis=1)
 
-    @property
-    def D(self):
-        return np.diag(self.degrees)
-
     def index_of(self, region_id):
         return self.region_ids.index(region_id)
 

@@ -5,8 +5,12 @@ The per-day noise covariance is
     Sigma_i = tau * P^{-1} + diag(sigma_a + sigma_m * y_i)^2,
     P = D - lambda * W,
 
-where W is the region adjacency and D the degree matrix.  All days share
-one factorization of P; the per-day Sigma_i factorizations are batched.
+where W is the region adjacency and D the degree matrix.  One evaluation
+factors P once (all days share P^{-1}) and takes one batched Cholesky
+factorization L_i of the Sigma_i.  The log-determinant and quadratic form
+come from L_i; the gradient reuses L_i for Sigma_i^{-1} = L_i^{-T} L_i^{-1}.
+`_batched_covariances` is the only place Sigma is assembled, shared by the
+likelihood, the PPT ensemble and the synthetic-data generator.
 """
 
 from __future__ import annotations
@@ -44,18 +48,6 @@ class NoiseParams:
         return np.array([self.tau_phi, self.lambda_phi, self.sigma_a, self.sigma_m])
 
 
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """One day's covariance with its Cholesky factor and log-determinant."""
-
-    Sigma: np.ndarray
-    chol: np.ndarray
-    logdet: float
-
-    def solve(self, rhs):
-        return cho_solve((self.chol, True), rhs)
-
-
 def build_precision(graph: RegionGraph, lambda_phi):
     """GMRF precision P = D - lambda * W, with a ridge on isolated regions."""
     if not 0.0 <= lambda_phi <= 1.0 - EPS_LAMBDA:
@@ -64,65 +56,51 @@ def build_precision(graph: RegionGraph, lambda_phi):
     return np.diag(g) - lambda_phi * graph.W
 
 
-def precision_inverse(graph: RegionGraph, lambda_phi):
-    P = build_precision(graph, lambda_phi)
-    try:
-        c = cho_factor(P, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("GMRF precision is not positive definite") from exc
-    return cho_solve(c, np.eye(graph.n_regions))
-
-
-def build_covariance(graph: RegionGraph, eta: NoiseParams, y_pred):
-    """Covariance factor for one day of predictions y_pred (length R)."""
-    y_pred = np.asarray(y_pred, dtype=float)
-    if np.any(y_pred < 0):
-        raise ValueError("predictions must be nonnegative")
-    Sigma = eta.tau_phi * precision_inverse(graph, eta.lambda_phi)
-    Sigma = Sigma + np.diag((eta.sigma_a + eta.sigma_m * y_pred) ** 2)
-    try:
-        chol = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("noise covariance is not positive definite") from exc
-    return CovarianceFactor(Sigma=Sigma, chol=chol, logdet=2.0 * float(np.sum(np.log(np.diag(chol)))))
-
-
 def _batched_covariances(graph, eta, y_pred):
-    """Cholesky factors of Sigma_i for all days at once; y_pred is (N_d, R)."""
-    Pinv = eta.tau_phi * precision_inverse(graph, eta.lambda_phi)
+    """(P^{-1}, Cholesky factors of Sigma_i, noise scales) for y_pred of shape (N_d, R).
+
+    P^{-1} is not scaled by tau.  A covariance that is not positive
+    definite raises np.linalg.LinAlgError.
+    """
+    Pinv = cho_solve(cho_factor(build_precision(graph, eta.lambda_phi), lower=True), np.eye(graph.n_regions))
     scale = eta.sigma_a + eta.sigma_m * y_pred  # (N_d, R)
-    Sigma = np.broadcast_to(Pinv, (y_pred.shape[0],) + Pinv.shape).copy()
+    Sigma = np.broadcast_to(eta.tau_phi * Pinv, (y_pred.shape[0],) + Pinv.shape).copy()
     idx = np.arange(graph.n_regions)
     Sigma[:, idx, idx] += scale**2
-    try:
-        chol = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("noise covariance is not positive definite") from exc
-    return Sigma, chol, scale
+    return Pinv, np.linalg.cholesky(Sigma), scale
 
 
-def log_likelihood(y_obs, y_pred, graph: RegionGraph, eta: NoiseParams):
-    """Sum over days of the multivariate Gaussian log-density of the residuals."""
+def _checked(y_obs, y_pred, graph):
     y_obs = np.asarray(y_obs, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_obs.shape != y_pred.shape or y_obs.ndim != 2 or y_obs.shape[1] != graph.n_regions:
         raise ValueError("observation/prediction shapes must be (N_d, R) and agree")
-    _, chol, _ = _batched_covariances(graph, eta, y_pred)
-    r = y_obs - y_pred
+    return y_obs, y_pred
+
+
+def _log_density(r, chol):
+    """Sum over days of log N(r_i; 0, L_i L_i^T)."""
     # Solve L z = r per day; quadratic form is |z|^2.
     z = np.linalg.solve(chol, r[:, :, None])[:, :, 0]
     logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    n_days, R = y_obs.shape
+    n_days, R = r.shape
     return float(-0.5 * n_days * R * LOG_2PI - 0.5 * np.sum(logdets) - 0.5 * np.sum(z**2))
 
 
-def log_likelihood_grad(y_obs, y_pred, y_grad, graph: RegionGraph, eta: NoiseParams):
-    """Gradient of log_likelihood w.r.t. all constrained parameters.
+def log_likelihood(y_obs, y_pred, graph: RegionGraph, eta: NoiseParams):
+    """Sum over days of the multivariate Gaussian log-density of the residuals."""
+    y_obs, y_pred = _checked(y_obs, y_pred, graph)
+    _, chol, _ = _batched_covariances(graph, eta, y_pred)
+    return _log_density(y_obs - y_pred, chol)
+
+
+def log_likelihood_and_grad(y_obs, y_pred, y_grad, graph: RegionGraph, eta: NoiseParams):
+    """log_likelihood and its gradient w.r.t. all constrained parameters.
 
     y_grad has shape (N_d, R, 4) holding the partials of each region's
     prediction w.r.t. its own (t0, N, k, theta).  Returns
-    (grad_model of shape (R, 4), grad_eta of shape (4,)) where grad_eta is
-    ordered (tau, lambda, sigma_a, sigma_m).
+    (value, grad_model of shape (R, 4), grad_eta of shape (4,)) where
+    grad_eta is ordered (tau, lambda, sigma_a, sigma_m).
 
     The differential identities are d logdet Sigma = Tr(Sigma^{-1} dSigma)
     and the matching quadratic-form differential, with dSigma assembled
@@ -130,34 +108,32 @@ def log_likelihood_grad(y_obs, y_pred, y_grad, graph: RegionGraph, eta: NoisePar
     P = D - lambda W is used throughout (an appendix of the source
     derivation writes I - lambda W instead); finite differences adjudicate.
     """
-    y_obs = np.asarray(y_obs, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
+    y_obs, y_pred = _checked(y_obs, y_pred, graph)
     y_grad = np.asarray(y_grad, dtype=float)
-    R = graph.n_regions
-    Pinv = precision_inverse(graph, eta.lambda_phi)
-    Sigma, chol, scale = _batched_covariances(graph, eta, y_pred)
+    if y_grad.shape != y_pred.shape + (4,):
+        raise ValueError("prediction gradient shape must be (N_d, R, 4)")
+    Pinv, chol, scale = _batched_covariances(graph, eta, y_pred)
     r = y_obs - y_pred
-    eye = np.broadcast_to(np.eye(R), Sigma.shape)
-    Sinv = np.linalg.solve(Sigma, eye)  # (N_d, R, R); symmetric
+    value = _log_density(r, chol)
+
+    Linv = np.linalg.inv(chol)
+    Sinv = np.swapaxes(Linv, 1, 2) @ Linv  # (N_d, R, R); symmetric
     b = np.einsum("irs,is->ir", Sinv, r)
     diag_Sinv = np.diagonal(Sinv, axis1=1, axis2=2)
+    Sinv_sum = Sinv.sum(axis=0)
 
     # tau slot: dSigma = Pinv
-    tr_tau = np.einsum("irs,rs->i", Sinv, Pinv)
-    quad_tau = np.einsum("ir,rs,is->i", b, Pinv, b)
-    g_tau = float(np.sum(-0.5 * tr_tau + 0.5 * quad_tau))
-
+    g_tau = -0.5 * np.sum(Sinv_sum * Pinv) + 0.5 * np.sum((b @ Pinv) * b)
     # lambda slot: dSigma = tau * Pinv W Pinv
     M = eta.tau_phi * (Pinv @ graph.W @ Pinv)
-    g_lam = float(np.sum(-0.5 * np.einsum("irs,rs->i", Sinv, M) + 0.5 * np.einsum("ir,rs,is->i", b, M, b)))
-
+    g_lam = -0.5 * np.sum(Sinv_sum * M) + 0.5 * np.sum((b @ M) * b)
     # sigma_a slot: dSigma = 2 diag(scale)
-    g_sa = float(np.sum(-diag_Sinv * scale + scale * b**2))
+    g_sa = np.sum(-diag_Sinv * scale + scale * b**2)
     # sigma_m slot: dSigma = 2 diag(scale * y)
-    g_sm = float(np.sum((-diag_Sinv + b**2) * scale * y_pred))
+    g_sm = np.sum((-diag_Sinv + b**2) * scale * y_pred)
 
     # Model slots: each y_{i,r} enters the residual and diag(scale)^2.
     q = eta.sigma_m * scale * (b**2 - diag_Sinv) + b  # (N_d, R)
     grad_model = np.einsum("ir,irs->rs", q, y_grad)
 
-    return grad_model, np.array([g_tau, g_lam, g_sa, g_sm])
+    return value, grad_model, np.array([g_tau, g_lam, g_sa, g_sm])

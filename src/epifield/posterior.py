@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import RegionGraph
-from .likelihood import log_likelihood, log_likelihood_grad
+from .likelihood import log_likelihood, log_likelihood_and_grad
 from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, predict_daily, predict_daily_grad
 from .params import ParamVector, dim_for
 from .transforms import PriorSpec, TransformSpec, log_prior
@@ -102,8 +102,7 @@ def log_posterior_and_grad(ctx: ModelContext, xhat, include_jacobian=None):
     xhat = np.asarray(xhat, dtype=float)
     theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
     y, y_grad = ctx.predictions_and_grad(theta)
-    value = log_likelihood(ctx.y_obs, y, ctx.graph, theta.noise)
-    grad_model, grad_eta = log_likelihood_grad(ctx.y_obs, y, y_grad, ctx.graph, theta.noise)
+    value, grad_model, grad_eta = log_likelihood_and_grad(ctx.y_obs, y, y_grad, ctx.graph, theta.noise)
     grad_constrained = np.concatenate([grad_model.ravel(), grad_eta])
 
     pv, pg = log_prior(theta.values, ctx.prior, ctx.n_regions)
@@ -117,7 +116,3 @@ def log_posterior_and_grad(ctx: ModelContext, xhat, include_jacobian=None):
         grad += tf.log_jacobian_grad(xhat)
     return value, grad
 
-
-def log_likelihood_prior_and_grad(ctx: ModelContext, xhat):
-    """Unconstrained log-likelihood + log-prior (no Jacobian); MLE objective."""
-    return log_posterior_and_grad(ctx, xhat, include_jacobian=False)

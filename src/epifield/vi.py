@@ -228,10 +228,6 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
     config = config or OptimizerConfig()
     if x0 is None:
         x0 = default_initial_guess(ctx)
-    v0, _ = ctx.logpost_and_grad(np.asarray(x0, dtype=float), include_jacobian=False)
-    if not np.isfinite(v0):
-        raise ValueError(f"non-finite objective {v0} at the MLE starting point")
-
     trace = []
 
     def objective(x):
@@ -244,9 +240,11 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
             return _PENALTY, np.zeros_like(x)
         return -v, -g
 
+    x = np.asarray(x0, dtype=float)
+    if objective(x)[0] == _PENALTY:
+        raise ValueError("non-finite objective or singular covariance at the MLE starting point")
     options = {"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15}
     bounds = _mle_bounds(ctx)
-    x = np.asarray(x0, dtype=float)
     # A restart resets the Hessian approximation, which reliably drops the
     # residual gradient after an ftol-triggered stop.
     for _ in range(2):

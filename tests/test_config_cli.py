@@ -132,6 +132,16 @@ class TestCliErrors:
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         assert main(["fit", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_linalg_failure_is_numerical_error(self, pipeline, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr("epifield.cli.fit_mfvi", singular)
+        _, cfg_path, _ = pipeline
+        assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert "LinAlgError" in (tmp_path / "diagnostics.txt").read_text()
+
     def test_seed_override(self, pipeline, tmp_path):
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline

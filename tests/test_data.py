@@ -177,7 +177,8 @@ class TestSynthetic:
         grid = np.array([8.0, 12.0, 16.0])
         inc = IncubationParams()
         _, y = synthetic_counts(truth, GRAPH2, inc, grid)
-        Sigma, _, _ = _batched_covariances(GRAPH2, truth.noise, y)
+        _, chol, _ = _batched_covariances(GRAPH2, truth.noise, y)
+        Sigma = chol @ chol.swapaxes(1, 2)
         reps = 3000
         noise = np.empty((reps, 3, 2))
         for s in range(reps):

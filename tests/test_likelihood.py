@@ -2,22 +2,40 @@ import importlib.resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
+import epifield.likelihood
 from epifield import (
     NoiseParams,
     RegionGraph,
-    build_covariance,
     build_precision,
     load_region_graph,
     log_likelihood,
-    log_likelihood_grad,
+    log_likelihood_and_grad,
     path_graph,
 )
-from epifield.likelihood import EPS_DEGREE, _batched_covariances, precision_inverse
+from epifield.likelihood import EPS_DEGREE, _batched_covariances
 from epifield.transforms import EPS_LAMBDA
 
-from conftest import random_noise
+from conftest import make_context, random_noise
+
+
+def _county_graph():
+    fix = importlib.resources.files("epifield") / "fixtures"
+    return load_region_graph(str(fix / "nm_regions.csv"), str(fix / "nm_edges.csv"))
+
+
+def _dense_sigma(g, eta, y):
+    """Oracle: one day's covariance tau * P^{-1} + diag(sigma_a + sigma_m * y)^2, densely."""
+    Pinv = np.linalg.inv(build_precision(g, eta.lambda_phi))
+    return eta.tau_phi * Pinv + np.diag((eta.sigma_a + eta.sigma_m * y) ** 2)
+
+
+def _batched_sigma(g, eta, y):
+    """Covariances rebuilt from the batched Cholesky factors; y is (N_d, R)."""
+    _, chol, _ = _batched_covariances(g, eta, np.atleast_2d(y))
+    return chol @ chol.swapaxes(1, 2)
 
 
 class TestGraph:
@@ -41,8 +59,7 @@ class TestGraph:
         assert sub.W[0, 1] == 1.0
 
     def test_bundled_county_graph_loads(self):
-        fix = importlib.resources.files("epifield") / "fixtures"
-        g = load_region_graph(str(fix / "nm_regions.csv"), str(fix / "nm_edges.csv"))
+        g = _county_graph()
         assert g.n_regions == 33
         assert np.all(g.degrees >= 1)
         assert g.centroids.shape == (33, 2)
@@ -51,7 +68,7 @@ class TestGraph:
 class TestPrecision:
     def test_lambda_zero_gives_degree_matrix(self):
         g = path_graph(("a", "b", "c"))
-        assert np.array_equal(build_precision(g, 0.0), g.D)
+        assert np.array_equal(build_precision(g, 0.0), np.diag(g.degrees))
 
     def test_two_region_hand_value(self):
         g = path_graph(("a", "b"))
@@ -59,8 +76,7 @@ class TestPrecision:
         assert np.allclose(P, [[1.0, -0.5], [-0.5, 1.0]])
 
     def test_positive_definite_at_lambda_max_on_county_graph(self):
-        fix = importlib.resources.files("epifield") / "fixtures"
-        g = load_region_graph(str(fix / "nm_regions.csv"), str(fix / "nm_edges.csv"))
+        g = _county_graph()
         P = build_precision(g, 1.0 - EPS_LAMBDA)
         assert np.all(np.linalg.eigvalsh(P) > 0)
 
@@ -70,12 +86,13 @@ class TestPrecision:
         assert np.allclose(np.diag(P), EPS_DEGREE)
         # And the full covariance still factorizes.
         eta = NoiseParams(tau_phi=1e-6, lambda_phi=0.3, sigma_a=1.0, sigma_m=0.0)
-        build_covariance(g, eta, np.zeros(2))
+        _batched_covariances(g, eta, np.zeros((1, 2)))
 
     def test_inverse_is_inverse(self):
         g = path_graph(tuple("abcd"))
-        lam = 0.8
-        assert np.allclose(precision_inverse(g, lam) @ build_precision(g, lam), np.eye(4), atol=1e-12)
+        eta = NoiseParams(tau_phi=2.0, lambda_phi=0.8, sigma_a=1.0, sigma_m=0.0)
+        Pinv, _, _ = _batched_covariances(g, eta, np.zeros((1, 4)))
+        assert np.allclose(Pinv @ build_precision(g, 0.8), np.eye(4), atol=1e-12)
 
 
 class TestCovariance:
@@ -83,19 +100,19 @@ class TestCovariance:
         g = path_graph(("a", "b", "c"))
         eta = NoiseParams(tau_phi=0.0, lambda_phi=0.5, sigma_a=1.5, sigma_m=0.2)
         y = np.array([10.0, 0.0, 3.0])
-        Sigma = build_covariance(g, eta, y).Sigma
+        Sigma = _batched_sigma(g, eta, y)[0]
         assert np.allclose(Sigma, np.diag((1.5 + 0.2 * y) ** 2))
 
     def test_pure_gmrf_is_scaled_degree_inverse(self):
         g = path_graph(("a", "b", "c"))
         eta = NoiseParams(tau_phi=3.0, lambda_phi=0.0, sigma_a=0.0, sigma_m=0.0)
-        Sigma = build_covariance(g, eta, np.zeros(3)).Sigma
-        assert np.allclose(Sigma, 3.0 * np.linalg.inv(g.D))
+        Sigma = _batched_sigma(g, eta, np.zeros(3))[0]
+        assert np.allclose(Sigma, 3.0 * np.linalg.inv(np.diag(g.degrees)))
 
     def test_two_region_hand_example(self):
         g = path_graph(("a", "b"))
         eta = NoiseParams(tau_phi=2.0, lambda_phi=0.5, sigma_a=1.0, sigma_m=0.0)
-        Sigma = build_covariance(g, eta, np.zeros(2)).Sigma
+        Sigma = _batched_sigma(g, eta, np.zeros(2))[0]
         P = np.array([[1.0, -0.5], [-0.5, 1.0]])
         assert np.allclose(Sigma, 2.0 * np.linalg.inv(P) + np.eye(2))
 
@@ -103,20 +120,22 @@ class TestCovariance:
         g = path_graph(("a", "b", "c"))
         eta = NoiseParams(tau_phi=1.2, lambda_phi=0.6, sigma_a=0.8, sigma_m=0.1)
         y = np.array([5.0, 20.0, 1.0])
-        cf = build_covariance(g, eta, y)
-        assert cf.logdet == pytest.approx(np.linalg.slogdet(cf.Sigma)[1], rel=1e-12)
+        _, chol, _ = _batched_covariances(g, eta, y[None])
+        Sigma = _dense_sigma(g, eta, y)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
+        assert logdet == pytest.approx(np.linalg.slogdet(Sigma)[1], rel=1e-12)
         r = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(cf.solve(r), np.linalg.solve(cf.Sigma, r), rtol=1e-10)
+        assert np.allclose(scipy.linalg.cho_solve((chol[0], True), r), np.linalg.solve(Sigma, r), rtol=1e-10)
 
     def test_batched_matches_per_day(self):
         g = path_graph(("a", "b", "c"))
         eta = NoiseParams(tau_phi=1.2, lambda_phi=0.6, sigma_a=0.8, sigma_m=0.1)
         y = np.abs(np.random.default_rng(0).normal(10, 5, (6, 3)))
-        Sigma, chol, _ = _batched_covariances(g, eta, y)
+        _, chol, _ = _batched_covariances(g, eta, y)
         for i in range(6):
-            cf = build_covariance(g, eta, y[i])
-            assert np.allclose(Sigma[i], cf.Sigma)
-            assert np.allclose(chol[i], cf.chol)
+            Sigma = _dense_sigma(g, eta, y[i])
+            assert np.allclose(chol[i] @ chol[i].T, Sigma)
+            assert np.allclose(chol[i], np.linalg.cholesky(Sigma))
 
     def test_noise_param_validation(self):
         with pytest.raises(ValueError):
@@ -150,7 +169,7 @@ class TestLogLikelihood:
         y_obs = y_pred + rng.normal(0, 3, (10, 3))
         ll = log_likelihood(y_obs, y_pred, g, eta)
         oracle = sum(
-            multivariate_normal.logpdf(y_obs[i], mean=y_pred[i], cov=build_covariance(g, eta, y_pred[i]).Sigma)
+            multivariate_normal.logpdf(y_obs[i], mean=y_pred[i], cov=_dense_sigma(g, eta, y_pred[i]))
             for i in range(10)
         )
         assert abs(ll - oracle) < 1e-10
@@ -160,6 +179,11 @@ class TestLogLikelihood:
         eta = NoiseParams(1.0, 0.5, 1.0, 0.1)
         with pytest.raises(ValueError):
             log_likelihood(np.zeros((3, 2)), np.zeros((4, 2)), g, eta)
+
+    def test_singular_covariance_is_linalg_error(self):
+        g = path_graph(("a", "b"))
+        with pytest.raises(np.linalg.LinAlgError):
+            log_likelihood(np.ones((3, 2)), np.ones((3, 2)), g, NoiseParams(0.0, 0.5, 0.0, 0.0))
 
 
 def _fd_grad(fn, x, h=1e-5):
@@ -173,12 +197,12 @@ def _fd_grad(fn, x, h=1e-5):
 
 
 class TestLogLikelihoodGrad:
-    def _instance(self, seed=0, n_days=8):
+    def _instance(self, seed=0, n_days=8, g=None):
         rng = np.random.default_rng(seed)
-        g = path_graph(("a", "b", "c"))
+        g = g or path_graph(("a", "b", "c"))
         eta = random_noise(rng)
-        y_pred = np.abs(rng.normal(20, 10, (n_days, 3)))
-        y_obs = y_pred + rng.normal(0, 3, (n_days, 3))
+        y_pred = np.abs(rng.normal(20, 10, (n_days, g.n_regions)))
+        y_obs = y_pred + rng.normal(0, 3, (n_days, g.n_regions))
         return g, eta, y_obs, y_pred
 
     def test_sigma_m_zero_kills_logdet_model_term(self):
@@ -187,15 +211,14 @@ class TestLogLikelihoodGrad:
         # With sigma_m = 0 the covariance no longer depends on y_pred, so the
         # model gradient must be exactly the residual chain q = Sigma^{-1} r.
         y_grad = np.ones((y_obs.shape[0], 3, 4))
-        grad_model, _ = log_likelihood_grad(y_obs, y_pred, y_grad, g, eta)
-        Sigma, _, _ = _batched_covariances(g, eta, y_pred)
-        b = np.einsum("irs,is->ir", np.linalg.inv(Sigma), y_obs - y_pred)
+        _, grad_model, _ = log_likelihood_and_grad(y_obs, y_pred, y_grad, g, eta)
+        b = np.array([np.linalg.solve(_dense_sigma(g, eta, y), r) for y, r in zip(y_pred, y_obs - y_pred)])
         assert np.allclose(grad_model, b.sum(axis=0)[:, None] * np.ones(4), rtol=1e-10)
 
     def test_noise_partials_match_finite_differences(self):
         g, eta, y_obs, y_pred = self._instance(seed=1)
         y_grad = np.zeros((y_obs.shape[0], 3, 4))
-        _, grad_eta = log_likelihood_grad(y_obs, y_pred, y_grad, g, eta)
+        _, _, grad_eta = log_likelihood_and_grad(y_obs, y_pred, y_grad, g, eta)
 
         def fn(v):
             return log_likelihood(y_obs, y_pred, g, NoiseParams(*v))
@@ -203,18 +226,62 @@ class TestLogLikelihoodGrad:
         fd = _fd_grad(fn, eta.as_array())
         assert np.max(np.abs(grad_eta - fd) / np.maximum(np.abs(fd), 1e-3 * np.max(np.abs(fd)))) < 1e-5
 
-    def test_tau_partial_dense_oracle(self):
-        g, eta, y_obs, y_pred = self._instance(seed=2, n_days=5)
-        y_grad = np.zeros((5, 3, 4))
-        _, grad_eta = log_likelihood_grad(y_obs, y_pred, y_grad, g, eta)
-        Pinv = precision_inverse(g, eta.lambda_phi)
-        Sigma, _, _ = _batched_covariances(g, eta, y_pred)
-        oracle = 0.0
-        for i in range(5):
-            Sinv = np.linalg.inv(Sigma[i])
-            r = y_obs[i] - y_pred[i]
-            oracle += -0.5 * np.trace(Sinv @ Pinv) + 0.5 * r @ Sinv @ Pinv @ Sinv @ r
-        assert abs(grad_eta[0] - oracle) < 1e-8
+    def test_partials_match_dense_oracle(self):
+        for g in (path_graph(("a", "b", "c")), _county_graph()):
+            self._check_dense_oracle(*self._instance(seed=2, n_days=5, g=g))
+
+    def _check_dense_oracle(self, g, eta, y_obs, y_pred):
+        y_grad = np.random.default_rng(7).normal(0, 10, y_pred.shape + (4,))
+        _, grad_model, grad_eta = log_likelihood_and_grad(y_obs, y_pred, y_grad, g, eta)
+
+        # Per day, d log N(r; 0, Sigma) = -Tr(Sinv dSigma)/2 + r Sinv dSigma Sinv r/2 - r Sinv dr.
+        Pinv = np.linalg.inv(build_precision(g, eta.lambda_phi))
+        eta_oracle = np.zeros(4)
+        model_oracle = np.zeros((g.n_regions, 4))
+        for y, r, dy in zip(y_pred, y_obs - y_pred, y_grad):
+            Sinv = np.linalg.inv(_dense_sigma(g, eta, y))
+            scale = eta.sigma_a + eta.sigma_m * y
+
+            def partial(dSigma, dr=np.zeros(g.n_regions)):
+                return -0.5 * np.trace(Sinv @ dSigma) + 0.5 * r @ Sinv @ dSigma @ Sinv @ r - r @ Sinv @ dr
+
+            dSigmas = (Pinv, eta.tau_phi * Pinv @ g.W @ Pinv, np.diag(2 * scale), np.diag(2 * scale * y))
+            eta_oracle += [partial(d) for d in dSigmas]
+            for k in range(g.n_regions):
+                onehot = np.eye(g.n_regions)[k]
+                dy_k = partial(np.diag(2 * eta.sigma_m * scale * onehot), dr=-onehot)
+                model_oracle[k] += dy_k * dy[k]
+        assert np.allclose(grad_eta, eta_oracle, rtol=1e-10, atol=1e-10 * np.max(np.abs(eta_oracle)))
+        assert np.allclose(grad_model, model_oracle, rtol=1e-10, atol=1e-10 * np.max(np.abs(model_oracle)))
+
+    def test_value_is_bit_equal_to_log_likelihood(self):
+        for g in (path_graph(("a", "b", "c")), _county_graph()):
+            g, eta, y_obs, y_pred = self._instance(seed=4, n_days=9, g=g)
+            value, _, _ = log_likelihood_and_grad(y_obs, y_pred, np.ones(y_pred.shape + (4,)), g, eta)
+            assert value == log_likelihood(y_obs, y_pred, g, eta)
+
+    def test_shapes_validated(self):
+        g, eta, y_obs, y_pred = self._instance(n_days=4)
+        with pytest.raises(ValueError):
+            log_likelihood_and_grad(y_obs, y_pred, np.zeros((4, 3, 3)), g, eta)
+        with pytest.raises(ValueError):
+            log_likelihood_and_grad(y_obs[:3], y_pred, np.zeros((4, 3, 4)), g, eta)
+
+    def test_one_factorisation_per_gradient_evaluation(self, monkeypatch):
+        ctx, truth = make_context(n_regions=3, n_days=20, seed=11)
+        calls = {"cholesky": 0, "cho_factor": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(epifield.likelihood, "cho_factor", counting("cho_factor", scipy.linalg.cho_factor))
+        ctx.logpost_and_grad(ctx.transforms.inverse(truth.values))
+        assert calls == {"cholesky": 1, "cho_factor": 1}
 
     def test_model_partials_match_finite_differences(self):
         # Perturb a single prediction entry and compare against the chain rule
@@ -223,7 +290,7 @@ class TestLogLikelihoodGrad:
         for (i, r) in [(0, 0), (3, 1), (5, 2)]:
             y_grad = np.zeros((6, 3, 4))
             y_grad[i, r, 0] = 1.0
-            grad_model, _ = log_likelihood_grad(y_obs, y_pred, y_grad, g, eta)
+            _, grad_model, _ = log_likelihood_and_grad(y_obs, y_pred, y_grad, g, eta)
             h = 1e-5
             hi, lo = y_pred.copy(), y_pred.copy()
             hi[i, r] += h
