@@ -17,7 +17,15 @@ import numpy as np
 from . import checks, plots
 from .config import RunConfig, content_hash
 from .data import CaseData, generate_synthetic, ingest_cases, smooth, write_cases_csv
-from .forecast import crps, crps_ratio_and_fit, sample_ppt, write_crps_csv, write_forecast_csv
+from .forecast import (
+    crps,
+    crps_ratio_and_fit,
+    read_ensemble_npz,
+    sample_ppt,
+    write_crps_csv,
+    write_ensemble_npz,
+    write_forecast_csv,
+)
 from .graph import load_region_graph
 from .likelihood import NoiseParams
 from .mcmc import AmcmcConfig, run_amcmc, write_chain_summary
@@ -98,16 +106,21 @@ def _fit_context(cfg, graph, series):
     ), window
 
 
+def _input_bytes(cfg):
+    return [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
+
+
 def _data_hash(cfg):
-    return content_hash(cfg, Path(cfg.cases_csv).read_bytes())
+    return content_hash(cfg, *_input_bytes(cfg))
 
 
 def _load_fit(cfg, outdir):
-    path = Path(outdir) / "fit.json"
-    doc = json.loads(path.read_text())
+    """The fitted state and the bytes of the fit.json it came from."""
+    raw = (Path(outdir) / "fit.json").read_bytes()
+    doc = json.loads(raw)
     if doc["config_hash"] != _data_hash(cfg):
         raise ValueError("fit.json was produced from a different config or dataset; re-run fit")
-    return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"]))
+    return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), raw
 
 
 def _forecast_grid(cfg, series, ctx):
@@ -149,20 +162,31 @@ def cmd_fit(args, cfg):
     return 0
 
 
-def _ensemble_for(cfg, args, need_forecast=True):
+def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
+    """Inputs and the posterior-predictive ensemble of a downstream command.
+
+    The ensemble is read from <out>/ensemble.npz when its key (fit.json,
+    config, --raw and the input files) matches, and otherwise drawn and
+    written there; `reuse=False` always draws.
+    """
     graph = _load_graph(cfg)
     series = _load_series(cfg, graph, raw=args.raw)
     ctx, window = _fit_context(cfg, graph, series)
-    state = _load_fit(cfg, args.out)
+    state, fit_bytes = _load_fit(cfg, args.out)
     grid, n_fc = _forecast_grid(cfg, series, ctx)
     if need_forecast and n_fc <= 0:
         raise ValueError("no observations beyond the fit window; cannot forecast/detect")
-    ensemble = sample_ppt(state, ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
+    path = Path(args.out) / "ensemble.npz"
+    key = content_hash(cfg, fit_bytes, b"raw" if args.raw else b"smoothed", *_input_bytes(cfg))
+    ensemble = read_ensemble_npz(path, key) if reuse else None
+    if ensemble is None:
+        ensemble = sample_ppt(state, ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
+        write_ensemble_npz(ensemble, key, path)
     return graph, series, ctx, window, ensemble, n_fc
 
 
 def cmd_forecast(args, cfg):
-    graph, series, ctx, window, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False)
+    graph, series, ctx, window, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False, reuse=False)
     outdir = Path(args.out)
     dates = [cfg.reference + dt.timedelta(days=int(d)) for d in ensemble.day_grid]
     write_forecast_csv(ensemble, graph.region_ids, [d.isoformat() for d in dates], outdir / "forecast.csv")
@@ -182,7 +206,7 @@ def cmd_forecast(args, cfg):
 
 def cmd_detect(args, cfg):
     graph, series, ctx, window, ensemble, n_fc = _ensemble_for(cfg, args)
-    obs_series = _load_series(cfg, graph, raw=args.raw or cfg.detect_on_raw)
+    obs_series = _load_series(cfg, graph, raw=True) if cfg.detect_on_raw and not args.raw else series
     obs = _forecast_observations(cfg, obs_series, n_fc)
     result = detect(ensemble, obs.counts, forecast_start=window.n_days)
     outdir = Path(args.out)

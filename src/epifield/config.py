@@ -116,10 +116,11 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
-def content_hash(config: RunConfig, data_bytes: bytes) -> str:
-    """Hash binding a fit to its configuration and input data."""
+def content_hash(config: RunConfig, *inputs: bytes) -> str:
+    """Hash binding an artifact to its configuration and the bytes of its inputs."""
     h = hashlib.sha256()
     h.update(config.to_json().encode())
-    h.update(b"\0")
-    h.update(data_bytes)
+    for data in inputs:
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
     return h.hexdigest()

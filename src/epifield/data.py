@@ -102,21 +102,17 @@ def ingest_cases(path, graph: RegionGraph):
 
 
 def smooth(data: CaseData, window=DEFAULT_SMOOTHING_WINDOW):
-    """Centered moving average; truncated window mean at the edges."""
+    """smooth_counts() over the date axis of a CaseData."""
     if window % 2 == 0:
         raise ValueError("smoothing window must be odd")
     if window > data.n_days:
         raise ValueError(f"window {window} exceeds series length {data.n_days}")
-    half = window // 2
-    out = np.empty_like(data.counts)
-    for i in range(data.n_days):
-        lo, hi = max(0, i - half), min(data.n_days, i + half + 1)
-        out[i] = data.counts[lo:hi].mean(axis=0)
-    return CaseData(dates=data.dates, counts=out, region_ids=data.region_ids, smoothed=True)
+    return CaseData(dates=data.dates, counts=smooth_counts(data.counts, window),
+                    region_ids=data.region_ids, smoothed=True)
 
 
 def smooth_counts(counts, window=DEFAULT_SMOOTHING_WINDOW):
-    """Array-level variant of smooth() for windows without a date axis."""
+    """Centered moving average along axis 0; truncated window mean at the edges."""
     counts = np.atleast_2d(np.asarray(counts, dtype=float))
     half = window // 2
     out = np.empty_like(counts)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -113,18 +116,25 @@ def crps_samples(samples, y_obs):
 
 
 def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
-    """Per-day CRPS c[i, r] and per-region means C_r over the scored window."""
+    """Per-day CRPS c[i, r] and per-region means C_r over the scored window.
+
+    The energy form of crps_samples, evaluated for every region-day at once
+    on the ensemble sorted along its member axis.
+    """
     obs = np.asarray(observations, dtype=float)
     samples = ensemble.samples
     if day_slice is not None:
         samples = samples[:, day_slice, :]
     if obs.shape != samples.shape[1:]:
         raise ValueError("observation shape must match the scored window")
-    n_days, n_regions = obs.shape
-    c = np.empty((n_days, n_regions))
-    for i in range(n_days):
-        for r in range(n_regions):
-            c[i, r] = crps_samples(samples[:, i, r], obs[i, r])
+    x = np.sort(samples, axis=0)
+    n = x.shape[0]
+    i = np.arange(1, n + 1)
+    pair_sum = 2.0 * np.tensordot(2 * i - n - 1, x, axes=(0, 0))
+    # |x - y| in place: the sorted copy is the only ensemble-sized temporary.
+    x -= obs
+    term1 = np.mean(np.abs(x, out=x), axis=0)
+    c = term1 - 0.5 * pair_sum / n**2
     return c, c.mean(axis=0)
 
 
@@ -179,3 +189,25 @@ def write_crps_csv(region_ids, C, T, rho, path):
         writer.writerow(["region_id", "crps", "total_cases", "rho"])
         for r, rid in enumerate(region_ids):
             writer.writerow([rid, f"{C[r]:.9g}", f"{T[r]:.9g}", f"{rho[r]:.9g}"])
+
+
+def write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
+    """Store an ensemble with the key of its inputs; the file appears whole or not at all."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, allow_pickle=False, samples=ensemble.samples, pushforward=ensemble.pushforward,
+                 day_grid=ensemble.day_grid, key=np.array(key))
+    os.replace(tmp, path)
+
+
+def read_ensemble_npz(path, key):
+    """The ensemble stored at path, or None if it is missing, unreadable or has another key."""
+    try:
+        with np.load(path, allow_pickle=False) as doc:
+            if str(doc["key"]) != key:
+                return None
+            return ForecastEnsemble(samples=doc["samples"], pushforward=doc["pushforward"],
+                                    day_grid=doc["day_grid"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        return None

@@ -47,13 +47,6 @@ class ParamVector:
         tau, lam, sa, sm = self.values[-4:]
         return NoiseParams(tau_phi=tau, lambda_phi=lam, sigma_a=sa, sigma_m=sm)
 
-    def names(self):
-        out = []
-        for r in range(self.n_regions):
-            out.extend(f"{name}[{r}]" for name in REGION_NAMES)
-        out.extend(NOISE_NAMES)
-        return out
-
 
 def param_names(n_regions):
     out = []

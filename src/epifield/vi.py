@@ -266,7 +266,8 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
 
     Fresh epsilon draws are taken each iteration, derived from
     (config.seed, iteration) so replays are bit-identical.  Raises
-    DivergenceError after 10 consecutive non-finite ELBO estimates.
+    DivergenceError after 10 consecutive non-finite ELBO estimates, or as
+    soon as an update makes the state non-finite (Adam cannot recover).
     """
     config = config or OptimizerConfig()
     if mu0 is None:
@@ -290,6 +291,8 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
         else:
             bad_streak = 0
         x = adam.step(grad)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"variational state non-finite after iteration {it}", trace)
         state = VariationalState(mu=x[:d], rho=x[d:])
         if config.grad_tol > 0 and it + 1 >= config.smooth_window:
             recent = np.mean(trace.grad_norm[-config.smooth_window :])

@@ -1,12 +1,15 @@
 import csv
 import importlib.resources
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from epifield import RunConfig, content_hash
+import epifield.cli
+from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
+from epifield.forecast import write_ensemble_npz
 
 
 class TestRunConfig:
@@ -33,6 +36,11 @@ class TestRunConfig:
         assert h != content_hash(cfg, b"other")
         assert h != content_hash(cfg.with_overrides(seed=1), b"data")
         assert h == content_hash(RunConfig(), b"data")
+
+    def test_content_hash_separates_inputs(self):
+        cfg = RunConfig()
+        assert content_hash(cfg, b"ab", b"c") != content_hash(cfg, b"a", b"bc")
+        assert content_hash(cfg, b"ab") != content_hash(cfg, b"ab", b"")
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +154,118 @@ class TestCliErrors:
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline
         assert main(["forecast", "--config", str(cfg_path), "--out", out, "--seed", "77"]) == 2
+
+
+def _simulate_and_fit(root, regions=("bernalillo", "sandoval")):
+    """simulate + a tiny fit in root, with a private copy of the edges file."""
+    fix = importlib.resources.files("epifield") / "fixtures"
+    shutil.copy(fix / "nm_edges.csv", root / "edges.csv")
+    cfg = {
+        "cases_csv": str(root / "cases.csv"),
+        "regions_csv": str(fix / "nm_regions.csv"),
+        "edges_csv": str(root / "edges.csv"),
+        "regions": list(regions),
+        "fit_start": "2020-06-01",
+        "fit_end": "2020-08-15",
+        "forecast_days": 14,
+        "max_iters": 5,
+        "n_samples": 2,
+        "ppt_samples": 20,
+        "seed": 4,
+    }
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = ["--config", str(cfg_path), "--out", str(root)]
+    assert main(["simulate", *args, "--second-wave", "3.0"]) == 0
+    assert main(["fit", *args]) == 0
+    return args
+
+
+def test_edited_edges_refused(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path, regions=("bernalillo", "sandoval", "torrance"))
+    with open(tmp_path / "edges.csv", "a") as fh:
+        fh.write("sandoval,torrance\n")
+    assert main(["forecast", *args]) == 2
+    assert "re-run fit" in capsys.readouterr().err
+
+
+def _npz_arrays(path):
+    with np.load(path, allow_pickle=False) as doc:
+        return {k: doc[k] for k in doc.files}
+
+
+# Downstream commands and the files each one writes.
+DOWNSTREAM = {
+    "detect": ("alarms.csv",),
+    "exceedance": ("exceedance.csv",),
+    "cluster": ("clusters.csv", "dendrogram.json"),
+    "crps": ("crps.csv",),
+}
+
+
+class TestEnsembleArtifact:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts sample_ppt calls made by the CLI."""
+        calls = []
+        real = epifield.cli.sample_ppt
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(epifield.cli, "sample_ppt", counting)
+        return calls
+
+    @staticmethod
+    def _drawn_by(draws, argv):
+        before = len(draws)
+        assert main(argv) == 0
+        return len(draws) - before
+
+    def test_outputs_identical_with_and_without_the_file(self, tmp_path, draws):
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, ["forecast", *args]) == 1
+        assert npz.exists()
+        reused = {}
+        for command, files in DOWNSTREAM.items():
+            assert self._drawn_by(draws, [command, *args]) == 0
+            reused.update({f: (tmp_path / f).read_bytes() for f in files})
+        for command, files in DOWNSTREAM.items():
+            npz.unlink()
+            assert self._drawn_by(draws, [command, *args]) == 1
+            assert npz.exists()
+            for f in files:
+                assert (tmp_path / f).read_bytes() == reused[f], f
+        npz.write_bytes(b"not an npz file")
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        assert (tmp_path / "alarms.csv").read_bytes() == reused["alarms.csv"]
+
+    def test_refit_or_raw_toggle_redraws(self, tmp_path, draws):
+        args = _simulate_and_fit(tmp_path)
+        assert self._drawn_by(draws, ["forecast", *args]) == 1
+        assert self._drawn_by(draws, ["detect", *args]) == 0
+        assert self._drawn_by(draws, ["detect", *args, "--raw"]) == 1
+        assert self._drawn_by(draws, ["exceedance", *args, "--raw"]) == 0
+        assert self._drawn_by(draws, ["exceedance", *args]) == 1
+        fit_before = (tmp_path / "fit.json").read_bytes()
+        assert main(["fit", *args, "--raw"]) == 0
+        assert (tmp_path / "fit.json").read_bytes() != fit_before
+        assert self._drawn_by(draws, ["crps", *args]) == 1
+        assert self._drawn_by(draws, ["cluster", *args]) == 0
+
+    def test_forecast_rewrites_the_file(self, tmp_path, draws):
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, ["forecast", *args]) == 1
+        original, forecast_csv = _npz_arrays(npz), (tmp_path / "forecast.csv").read_bytes()
+        assert original["key"].dtype.kind == "U"
+        stale = ForecastEnsemble(samples=2.0 * original["samples"], pushforward=original["pushforward"],
+                                 day_grid=original["day_grid"])
+        write_ensemble_npz(stale, str(original["key"]), npz)
+        assert self._drawn_by(draws, ["forecast", *args]) == 1
+        rewritten = _npz_arrays(npz)
+        assert rewritten.keys() == original.keys()
+        assert all(np.array_equal(rewritten[k], original[k]) for k in original)
+        assert (tmp_path / "forecast.csv").read_bytes() == forecast_csv

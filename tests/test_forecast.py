@@ -59,6 +59,20 @@ class TestCrpsMatrix:
         assert c.shape == (6, 3)
         assert np.allclose(C, c.mean(axis=0))
 
+    def test_matches_per_cell_loop(self):
+        rng = np.random.default_rng(6)
+        for n_members in (2, 7, 50):
+            samples = rng.normal(5.0, 3.0, (n_members, 9, 4))
+            obs = rng.normal(5.0, 3.0, (9, 4))
+            samples[:, :3] = np.round(samples[:, :3])  # ties
+            obs[:2] = np.round(obs[:2])  # observations on a tied member
+            samples[:, 3, :] = 2.5  # degenerate ensembles
+            obs[3, :2] = 2.5
+            ens = ForecastEnsemble(samples=samples, pushforward=samples, day_grid=np.arange(9.0))
+            c, _ = crps(ens, obs)
+            loop = np.array([[crps_samples(samples[:, i, r], obs[i, r]) for r in range(4)] for i in range(9)])
+            np.testing.assert_allclose(c, loop, rtol=1e-12, atol=1e-12)
+
     def test_day_slice(self):
         rng = np.random.default_rng(3)
         ens = ForecastEnsemble(

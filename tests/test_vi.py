@@ -236,6 +236,24 @@ class TestFitMfvi:
             fit_mfvi(Exploding(), cfg, mu0=np.zeros(3))
         assert len(exc.value.trace.iterations) >= 10
 
+    def test_late_divergence_is_an_error(self):
+        class LateNaN:
+            """Finite for the first 2 of 5 iterations, NaN from then on."""
+
+            calls = 0
+
+            def logpost_and_grad(self, x, include_jacobian=None):
+                self.calls += 1
+                if self.calls > 2:
+                    return np.nan, np.full_like(x, np.nan)
+                return -0.5 * float(x @ x), -x
+
+        cfg = OptimizerConfig(max_iters=5, n_samples=1, seed=0)
+        with pytest.raises(DivergenceError) as exc:
+            fit_mfvi(LateNaN(), cfg, mu0=np.zeros(3))
+        assert len(exc.value.trace.iterations) == 3
+        assert np.isfinite(exc.value.trace.elbo[:2]).all() and np.isnan(exc.value.trace.elbo[2])
+
     def test_trace_csv(self, tmp_path):
         ctx, _ = make_context(n_regions=1, n_days=20, seed=31)
         cfg = OptimizerConfig(max_iters=5, n_samples=2, seed=5)
