@@ -106,21 +106,19 @@ def _fit_context(cfg, graph, series):
     ), window
 
 
-def _input_bytes(cfg):
-    return [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
+def _data_hash(cfg, raw):
+    """Hash of the config, whether --raw turned smoothing off, and the three input files' bytes."""
+    inputs = [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
+    return content_hash(cfg, b"raw" if raw or cfg.smoothing_window <= 1 else b"smoothed", *inputs)
 
 
-def _data_hash(cfg):
-    return content_hash(cfg, *_input_bytes(cfg))
-
-
-def _load_fit(cfg, outdir):
+def _load_fit(cfg, args):
     """The fitted state and the bytes of the fit.json it came from."""
-    raw = (Path(outdir) / "fit.json").read_bytes()
-    doc = json.loads(raw)
-    if doc["config_hash"] != _data_hash(cfg):
-        raise ValueError("fit.json was produced from a different config or dataset; re-run fit")
-    return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), raw
+    fit_bytes = (Path(args.out) / "fit.json").read_bytes()
+    doc = json.loads(fit_bytes)
+    if doc["config_hash"] != _data_hash(cfg, args.raw):
+        raise ValueError("fit.json was produced from a different config, dataset or --raw setting; re-run fit")
+    return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), fit_bytes
 
 
 def _forecast_grid(cfg, series, ctx):
@@ -150,7 +148,7 @@ def cmd_fit(args, cfg):
         "mu": state.mu.tolist(),
         "rho": state.rho.tolist(),
         "region_ids": list(graph.region_ids),
-        "config_hash": _data_hash(cfg),
+        "config_hash": _data_hash(cfg, args.raw),
         "trace_csv": str(trace_csv),
     }
     (outdir / "fit.json").write_text(json.dumps(doc, indent=2))
@@ -165,19 +163,19 @@ def cmd_fit(args, cfg):
 def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
     """Inputs and the posterior-predictive ensemble of a downstream command.
 
-    The ensemble is read from <out>/ensemble.npz when its key (fit.json,
-    config, --raw and the input files) matches, and otherwise drawn and
-    written there; `reuse=False` always draws.
+    The ensemble is read from <out>/ensemble.npz when its key (the config
+    and fit.json) matches, and otherwise drawn and written there;
+    `reuse=False` always draws.
     """
     graph = _load_graph(cfg)
     series = _load_series(cfg, graph, raw=args.raw)
     ctx, window = _fit_context(cfg, graph, series)
-    state, fit_bytes = _load_fit(cfg, args.out)
+    state, fit_bytes = _load_fit(cfg, args)
     grid, n_fc = _forecast_grid(cfg, series, ctx)
     if need_forecast and n_fc <= 0:
         raise ValueError("no observations beyond the fit window; cannot forecast/detect")
     path = Path(args.out) / "ensemble.npz"
-    key = content_hash(cfg, fit_bytes, b"raw" if args.raw else b"smoothed", *_input_bytes(cfg))
+    key = content_hash(cfg, fit_bytes)
     ensemble = read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
         ensemble = sample_ppt(state, ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)

@@ -41,10 +41,9 @@ class ForecastEnsemble:
     def n_samples(self):
         return self.samples.shape[0]
 
-    def bands(self, pushforward=False):
-        """Percentile bands {p05, p25, p50, p75, p95}, each (N_days, R)."""
-        source = self.pushforward if pushforward else self.samples
-        values = np.percentile(source, PERCENTILES, axis=0)
+    def bands(self):
+        """Percentile bands {p05, p25, p50, p75, p95} of the noisy samples, each (N_days, R)."""
+        values = np.percentile(self.samples, PERCENTILES, axis=0)
         return {f"p{p:02d}": values[i] for i, p in enumerate(PERCENTILES)}
 
     def boundary(self, q=99.0):
@@ -170,7 +169,7 @@ def crps_ratio_and_fit(C, T):
 def write_forecast_csv(ensemble: ForecastEnsemble, region_ids, dates, path):
     """forecast.csv: region_id, date, p05..p95 and the push-forward median."""
     bands = ensemble.bands()
-    pf_med = ensemble.bands(pushforward=True)["p50"]
+    pf_med = np.percentile(ensemble.pushforward, 50, axis=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["region_id", "date", "p05", "p25", "p50", "p75", "p95", "pf_p50"])

@@ -76,22 +76,29 @@ class QuadratureRule:
         nodes, weights = _leggauss(n)
         return cls(nodes=nodes, weights=weights)
 
-    def mapped_to(self, a, b):
-        """Affine image of this rule on [a, b]; weights sum to b - a."""
-        half = 0.5 * (b - a)
-        return QuadratureRule(nodes=a + half * (self.nodes + 1.0), weights=half * self.weights)
+
+def _gamma_rate(t, p: RegionParams):
+    """(u, log u, f) at time t: u = t - t0, set to 1 where f is zero (t <= t0)."""
+    u = np.asarray(t, dtype=float) - p.t0
+    pos = u > 0
+    u = np.where(pos, u, 1.0)
+    log_u = np.log(u)
+    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * log_u - u / p.theta - gammaln(p.k)
+    return u, log_u, np.where(pos, np.exp(log_f), 0.0)
+
+
+def _gamma_partials(u, log_u, f, p: RegionParams):
+    """Partials of the rate f w.r.t. (t0, k, theta) at fixed t; zero where f is."""
+    df_dt0 = f * (1.0 / p.theta - (p.k - 1.0) / u)
+    df_dk = f * (log_u - np.log(p.theta) - digamma(p.k))
+    df_dtheta = f * (u / p.theta**2 - p.k / p.theta)
+    return df_dt0, df_dk, df_dtheta
 
 
 def infection_rate(t, p: RegionParams):
     """Gamma infection-rate density at time t; zero for t <= t0."""
-    t = np.asarray(t, dtype=float)
-    u = t - p.t0
-    pos = u > 0
-    out = np.zeros_like(u)
-    us = np.where(pos, u, 1.0)
-    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * np.log(us) - us / p.theta - gammaln(p.k)
-    out[pos] = np.exp(log_f[pos])
-    return out if out.ndim else float(out)
+    f = _gamma_rate(t, p)[2]
+    return f if f.ndim else float(f)
 
 
 def infection_rate_grad(t, p: RegionParams):
@@ -100,16 +107,8 @@ def infection_rate_grad(t, p: RegionParams):
     Returns (f, df_dt0, df_dk, df_dtheta); with k >= 2 the t0 partial is
     finite down to t = t0 where all quantities vanish.
     """
-    t = np.asarray(t, dtype=float)
-    u = t - p.t0
-    pos = u > 0
-    us = np.where(pos, u, 1.0)
-    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * np.log(us) - us / p.theta - gammaln(p.k)
-    f = np.where(pos, np.exp(log_f), 0.0)
-    df_dt0 = np.where(pos, f * (1.0 / p.theta - (p.k - 1.0) / us), 0.0)
-    df_dk = np.where(pos, f * (np.log(us) - np.log(p.theta) - digamma(p.k)), 0.0)
-    df_dtheta = np.where(pos, f * (us / p.theta**2 - p.k / p.theta), 0.0)
-    return f, df_dt0, df_dk, df_dtheta
+    u, log_u, f = _gamma_rate(t, p)
+    return (f, *_gamma_partials(u, log_u, f, p))
 
 
 def incubation_cdf(t, inc: IncubationParams):
@@ -133,16 +132,18 @@ def incubation_pdf(t, inc: IncubationParams):
 
 
 def _day_quadrature(p: RegionParams, day_grid, quad: QuadratureRule):
-    """Mapped nodes/weights on [t0, t_i] for every day, plus the active-day mask."""
+    """Each day's rule on [t0, t_i] as (tau, half, c, active).
+
+    Nodes tau[i, j] = t0 + c_j (t_i - t0), weights half[i] * quad.weights, so
+    a node sum is half * (X @ quad.weights).  Inactive days get [t0, t0 + 1].
+    """
     day_grid = np.asarray(day_grid, dtype=float)
     if day_grid.ndim != 1 or np.any(np.diff(day_grid) <= 0):
         raise ValueError("day_grid must be a strictly increasing 1-D array")
     active = day_grid > p.t0
-    b = np.where(active, day_grid, p.t0 + 1.0)
-    half = 0.5 * (b - p.t0)
-    tau = p.t0 + half[:, None] * (quad.nodes[None, :] + 1.0)  # (N_d, n)
-    w = half[:, None] * quad.weights[None, :]
-    return tau, w, active
+    half = 0.5 * (np.where(active, day_grid, p.t0 + 1.0) - p.t0)
+    tau = p.t0 + half[:, None] * (quad.nodes + 1.0)  # (N_d, n)
+    return tau, half, 0.5 * (quad.nodes + 1.0), active
 
 
 def _incubation_window(tau, day_grid, inc: IncubationParams):
@@ -151,16 +152,38 @@ def _incubation_window(tau, day_grid, inc: IncubationParams):
     return incubation_cdf(day - tau, inc) - incubation_cdf(day - 1.0 - tau, inc)
 
 
+def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad):
+    """The daily convolution y, and with_grad its partials: y or (y, grad)."""
+    day_grid = np.asarray(day_grid, dtype=float)
+    tau, half, c, active = _day_quadrature(p, day_grid, quad)
+    u, log_u, f = _gamma_rate(tau, p)
+    window = _incubation_window(tau, day_grid, inc)
+    w = quad.weights
+    s = (f * window) @ w
+    y = np.where(active, np.maximum(p.N * half * s, 0.0), 0.0)
+    if not with_grad:
+        return y
+
+    df_dt0, df_dk, df_dtheta = _gamma_partials(u, log_u, f, p)
+    day = day_grid[:, None]
+    dwindow_dtau = incubation_pdf(day - 1.0 - tau, inc) - incubation_pdf(day - tau, inc)
+    grad = np.empty((day_grid.size, 4))
+    # With t0 the half-width moves by -1/2 and the nodes by dtau/dt0 = 1 - c;
+    # the rate f(tau - t0) then moves by df/dtau (1 - c) + df/dt0 = c df/dt0.
+    grad[:, 0] = p.N * (half * ((c * df_dt0 * window + (1.0 - c) * f * dwindow_dtau) @ w) - 0.5 * s)
+    grad[:, 1] = half * s
+    grad[:, 2] = p.N * half * ((df_dk * window) @ w)
+    grad[:, 3] = p.N * half * ((df_dtheta * window) @ w)
+    grad[~active] = 0.0
+    return y, grad
+
+
 def predict_daily(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule):
     """Expected daily symptomatic counts on each day of day_grid.
 
     Days at or before t0 contribute zero; all outputs are nonnegative.
     """
-    tau, w, active = _day_quadrature(p, day_grid, quad)
-    f = infection_rate(tau, p)
-    ftil = _incubation_window(tau, day_grid, inc)
-    y = p.N * np.sum(w * f * ftil, axis=1)
-    return np.where(active, np.maximum(y, 0.0), 0.0)
+    return _convolve(p, inc, day_grid, quad, with_grad=False)
 
 
 def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule):
@@ -172,32 +195,6 @@ def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: Q
     identically zero because k >= 2.
 
     Returns (y, grad) with grad of shape (len(day_grid), 4) in the order
-    (t0, N, k, theta).
+    (t0, N, k, theta); y equals predict_daily exactly.
     """
-    day_grid = np.asarray(day_grid, dtype=float)
-    tau, w, active = _day_quadrature(p, day_grid, quad)
-    f, df_dt0, df_dk, df_dtheta = infection_rate_grad(tau, p)
-    ftil = _incubation_window(tau, day_grid, inc)
-
-    y = p.N * np.sum(w * f * ftil, axis=1)
-
-    grad = np.empty((day_grid.size, 4))
-    # Node positions tau_j = t0 + c_j (t_i - t0): dtau/dt0 = 1 - c_j and
-    # dw/dt0 = -w / (t_i - t0).  d f_inf/dtau = -df_dt0.
-    b = np.where(active, day_grid, p.t0 + 1.0)
-    c = (tau - p.t0) / (b - p.t0)[:, None]
-    dtau_dt0 = 1.0 - c
-    df_dtau = -df_dt0
-    day = day_grid[:, None]
-    dftil_dtau = -(incubation_pdf(day - tau, inc) - incubation_pdf(day - 1.0 - tau, inc))
-    d_dt0 = (
-        -np.sum(w * f * ftil, axis=1) / (b - p.t0)
-        + np.sum(w * (df_dtau * dtau_dt0 + df_dt0) * ftil, axis=1)
-        + np.sum(w * f * dftil_dtau * dtau_dt0, axis=1)
-    )
-    grad[:, 0] = p.N * d_dt0
-    grad[:, 1] = np.sum(w * f * ftil, axis=1)
-    grad[:, 2] = p.N * np.sum(w * df_dk * ftil, axis=1)
-    grad[:, 3] = p.N * np.sum(w * df_dtheta * ftil, axis=1)
-    grad[~active] = 0.0
-    return np.where(active, np.maximum(y, 0.0), 0.0), grad
+    return _convolve(p, inc, day_grid, quad, with_grad=True)

@@ -92,7 +92,7 @@ def log_posterior(ctx: ModelContext, xhat, include_jacobian=None):
     value += log_prior(theta.values, ctx.prior, ctx.n_regions)[0]
     use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
     if use_jac:
-        value += tf.log_jacobian(xhat)[0]
+        value += tf.log_jacobian(xhat)
     return value
 
 
@@ -112,7 +112,7 @@ def log_posterior_and_grad(ctx: ModelContext, xhat, include_jacobian=None):
     grad = grad_constrained * tf.fprime(xhat)
     use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
     if use_jac:
-        value += tf.log_jacobian(xhat)[0]
+        value += tf.log_jacobian(xhat)
         grad += tf.log_jacobian_grad(xhat)
     return value, grad
 

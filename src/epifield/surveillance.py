@@ -48,31 +48,19 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
     if obs.shape != boundary.shape:
         raise ValueError("observations must cover the forecast window exactly")
     outliers = obs > boundary
-    alarms = []
-    n_days, n_regions = obs.shape
-    for r in range(n_regions):
-        run = 0
-        for i in range(n_days):
-            if outliers[i, r]:
-                run += 1
-                if run == ALARM_RUN_LENGTH:
-                    alarms.append((r, i, run))
-            else:
-                run = 0
-    # Extend recorded run lengths to the full run for reporting.
-    alarms = [
-        (r, i, _full_run_length(outliers[:, r], i)) for (r, i, _) in alarms
-    ]
-    return DetectionResult(boundary=boundary, outliers=outliers, alarms=tuple(alarms))
-
-
-def _full_run_length(col, alarm_day):
-    length = ALARM_RUN_LENGTH
-    for i in range(alarm_day + 1, col.size):
-        if not col[i]:
-            break
-        length += 1
-    return length
+    # +1 marks a run's first day, -1 the day after its last; nonzero() lists
+    # both region by region in day order, so the k-th start and end pair up.
+    padded = np.zeros((obs.shape[0] + 2, obs.shape[1]), dtype=np.int8)
+    padded[1:-1] = outliers
+    edges = np.diff(padded, axis=0).T
+    regions, starts = np.nonzero(edges == 1)
+    lengths = np.nonzero(edges == -1)[1] - starts
+    alarms = tuple(
+        (int(r), int(i) + ALARM_RUN_LENGTH - 1, int(n))
+        for r, i, n in zip(regions, starts, lengths)
+        if n >= ALARM_RUN_LENGTH
+    )
+    return DetectionResult(boundary=boundary, outliers=outliers, alarms=alarms)
 
 
 def exceedance(ensemble: ForecastEnsemble, observations, start=0, n_smooth=DEFAULT_N_SMOOTH):

@@ -127,7 +127,7 @@ class TransformSpec:
         return out
 
     def log_jacobian(self, xhat):
-        """Return (sum_i log f_i'(x_i), vector of f_i'(x_i))."""
+        """sum_i log f_i'(x_i)."""
         xhat = np.asarray(xhat, dtype=float)
         logs = np.zeros_like(xhat)
         m = self.kinds == EXP
@@ -136,7 +136,7 @@ class TransformSpec:
         logs[m] = -softplus(-xhat[m])
         m = self.kinds == LOGISTIC
         logs[m] = np.log(self.uppers[m]) - softplus(-xhat[m]) - softplus(xhat[m])
-        return float(np.sum(logs)), self.fprime(xhat)
+        return float(np.sum(logs))
 
     def log_jacobian_grad(self, xhat):
         """d/dx_i of log f_i'(x_i), per slot."""

@@ -156,7 +156,7 @@ class TestCliErrors:
         assert main(["forecast", "--config", str(cfg_path), "--out", out, "--seed", "77"]) == 2
 
 
-def _simulate_and_fit(root, regions=("bernalillo", "sandoval")):
+def _simulate_and_fit(root, regions=("bernalillo", "sandoval"), **overrides):
     """simulate + a tiny fit in root, with a private copy of the edges file."""
     fix = importlib.resources.files("epifield") / "fixtures"
     shutil.copy(fix / "nm_edges.csv", root / "edges.csv")
@@ -172,6 +172,7 @@ def _simulate_and_fit(root, regions=("bernalillo", "sandoval")):
         "n_samples": 2,
         "ppt_samples": 20,
         "seed": 4,
+        **overrides,
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -187,6 +188,20 @@ def test_edited_edges_refused(tmp_path, capsys):
         fh.write("sandoval,torrance\n")
     assert main(["forecast", *args]) == 2
     assert "re-run fit" in capsys.readouterr().err
+
+
+def test_raw_fit_refused_without_raw(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path)
+    assert main(["fit", *args, "--raw"]) == 0
+    capsys.readouterr()
+    assert main(["forecast", *args]) == 2
+    assert "re-run fit" in capsys.readouterr().err
+    assert main(["forecast", *args, "--raw"]) == 0
+
+
+def test_raw_flag_is_moot_without_smoothing(tmp_path):
+    args = _simulate_and_fit(tmp_path, smoothing_window=1)
+    assert main(["forecast", *args, "--raw"]) == 0
 
 
 def _npz_arrays(path):
@@ -242,18 +257,18 @@ class TestEnsembleArtifact:
         assert self._drawn_by(draws, ["detect", *args]) == 1
         assert (tmp_path / "alarms.csv").read_bytes() == reused["alarms.csv"]
 
-    def test_refit_or_raw_toggle_redraws(self, tmp_path, draws):
+    def test_refit_or_raw_toggle_redraws(self, tmp_path, draws, capsys):
         args = _simulate_and_fit(tmp_path)
         assert self._drawn_by(draws, ["forecast", *args]) == 1
         assert self._drawn_by(draws, ["detect", *args]) == 0
-        assert self._drawn_by(draws, ["detect", *args, "--raw"]) == 1
-        assert self._drawn_by(draws, ["exceedance", *args, "--raw"]) == 0
-        assert self._drawn_by(draws, ["exceedance", *args]) == 1
+        capsys.readouterr()
+        assert main(["detect", *args, "--raw"]) == 2
+        assert "re-run fit" in capsys.readouterr().err
         fit_before = (tmp_path / "fit.json").read_bytes()
         assert main(["fit", *args, "--raw"]) == 0
         assert (tmp_path / "fit.json").read_bytes() != fit_before
-        assert self._drawn_by(draws, ["crps", *args]) == 1
-        assert self._drawn_by(draws, ["cluster", *args]) == 0
+        assert self._drawn_by(draws, ["crps", *args, "--raw"]) == 1
+        assert self._drawn_by(draws, ["cluster", *args, "--raw"]) == 0
 
     def test_forecast_rewrites_the_file(self, tmp_path, draws):
         args = _simulate_and_fit(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, gammaln
 from scipy.stats import lognorm
 
 from epifield import (
@@ -116,14 +117,21 @@ class TestIncubationCdf:
 
 class TestQuadrature:
     def test_weights_sum_to_interval(self):
-        rule = QUAD.mapped_to(-3.0, 11.0)
-        assert rule.weights.sum() == pytest.approx(14.0, rel=1e-12)
+        p = RegionParams(t0=-3.0, N=1.0, k=3.0, theta=5.0)
+        grid = np.array([-1.0, 4.0, 11.0])
+        _, half, _, active = _day_quadrature(p, grid, QUAD)
+        assert active.all()
+        assert np.allclose(half * QUAD.weights.sum(), grid - p.t0, rtol=1e-12)
 
     def test_polynomial_exactness(self):
         # n-point Gauss-Legendre integrates degree 2n-1 exactly.
-        rule = QuadratureRule.gauss_legendre(16).mapped_to(0.0, 2.0)
-        val = np.sum(rule.weights * rule.nodes**7)
-        assert val == pytest.approx(2.0**8 / 8.0, rel=1e-12)
+        quad = QuadratureRule.gauss_legendre(16)
+        p = RegionParams(t0=0.0, N=1.0, k=3.0, theta=5.0)
+        grid = np.array([0.5, 2.0, 7.0])
+        tau, half, c, _ = _day_quadrature(p, grid, quad)
+        assert np.allclose(tau, p.t0 + 2.0 * half[:, None] * c, rtol=1e-14)
+        val = half * (tau**7 @ quad.weights)
+        assert np.allclose(val, grid**8 / 8.0, rtol=1e-12)
 
     def test_minimum_nodes_enforced(self):
         with pytest.raises(ValueError):
@@ -203,6 +211,103 @@ class TestPredictDailyGrad:
         p = RegionParams(t0=50.0, N=100.0, k=3.0, theta=5.0)
         _, g = predict_daily_grad(p, inc, np.arange(1.0, 20.0), QUAD)
         assert np.all(g == 0.0)
+
+
+def _reference_day_quadrature(p, day_grid, quad):
+    day_grid = np.asarray(day_grid, dtype=float)
+    active = day_grid > p.t0
+    b = np.where(active, day_grid, p.t0 + 1.0)
+    half = 0.5 * (b - p.t0)
+    tau = p.t0 + half[:, None] * (quad.nodes[None, :] + 1.0)
+    w = half[:, None] * quad.weights[None, :]
+    return tau, w, active
+
+
+def _reference_rate_grad(t, p):
+    u = t - p.t0
+    pos = u > 0
+    us = np.where(pos, u, 1.0)
+    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * np.log(us) - us / p.theta - gammaln(p.k)
+    f = np.where(pos, np.exp(log_f), 0.0)
+    df_dt0 = np.where(pos, f * (1.0 / p.theta - (p.k - 1.0) / us), 0.0)
+    df_dk = np.where(pos, f * (np.log(us) - np.log(p.theta) - digamma(p.k)), 0.0)
+    df_dtheta = np.where(pos, f * (us / p.theta**2 - p.k / p.theta), 0.0)
+    return f, df_dt0, df_dk, df_dtheta
+
+
+def _reference_window(tau, day_grid, inc):
+    day = np.asarray(day_grid, dtype=float)[:, None]
+    return incubation_cdf(day - tau, inc) - incubation_cdf(day - 1.0 - tau, inc)
+
+
+def reference_predict_daily(p, inc, day_grid, quad):
+    """The separate value kernel that predict_daily replaced, kept as its oracle."""
+    tau, w, active = _reference_day_quadrature(p, day_grid, quad)
+    f = _reference_rate_grad(tau, p)[0]
+    ftil = _reference_window(tau, day_grid, inc)
+    y = p.N * np.sum(w * f * ftil, axis=1)
+    return np.where(active, np.maximum(y, 0.0), 0.0)
+
+
+def reference_predict_daily_grad(p, inc, day_grid, quad):
+    """The separate gradient kernel that predict_daily_grad replaced, kept as its oracle."""
+    day_grid = np.asarray(day_grid, dtype=float)
+    tau, w, active = _reference_day_quadrature(p, day_grid, quad)
+    f, df_dt0, df_dk, df_dtheta = _reference_rate_grad(tau, p)
+    ftil = _reference_window(tau, day_grid, inc)
+    y = p.N * np.sum(w * f * ftil, axis=1)
+    grad = np.empty((day_grid.size, 4))
+    b = np.where(active, day_grid, p.t0 + 1.0)
+    c = (tau - p.t0) / (b - p.t0)[:, None]
+    dtau_dt0 = 1.0 - c
+    df_dtau = -df_dt0
+    day = day_grid[:, None]
+    dftil_dtau = -(incubation_pdf(day - tau, inc) - incubation_pdf(day - 1.0 - tau, inc))
+    d_dt0 = (
+        -np.sum(w * f * ftil, axis=1) / (b - p.t0)
+        + np.sum(w * (df_dtau * dtau_dt0 + df_dt0) * ftil, axis=1)
+        + np.sum(w * f * dftil_dtau * dtau_dt0, axis=1)
+    )
+    grad[:, 0] = p.N * d_dt0
+    grad[:, 1] = np.sum(w * f * ftil, axis=1)
+    grad[:, 2] = p.N * np.sum(w * df_dk * ftil, axis=1)
+    grad[:, 3] = p.N * np.sum(w * df_dtheta * ftil, axis=1)
+    grad[~active] = 0.0
+    return np.where(active, np.maximum(y, 0.0), 0.0), grad
+
+
+class TestKernelMatchesReference:
+    """The shared value/gradient kernel against the two kernels it replaced."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(20)
+        for grid in (np.arange(1.0, 61.0), np.arange(1.0, 122.0)):
+            for _ in range(12):
+                # t0 up to 40 puts the first days at or before onset.
+                yield grid, RegionParams(
+                    t0=rng.uniform(-20.0, 40.0), N=rng.uniform(10.0, 5000.0),
+                    k=rng.uniform(2.0, 8.0), theta=rng.uniform(0.5, 20.0),
+                )
+
+    def test_matches_reference_kernels(self):
+        inc = IncubationParams()
+        inactive_days = 0
+        for grid, p in self._cases():
+            inactive_days += int(np.sum(grid <= p.t0))
+            y_ref, g_ref = reference_predict_daily_grad(p, inc, grid, QUAD)
+            assert np.array_equal(reference_predict_daily(p, inc, grid, QUAD), y_ref)
+            y, g = predict_daily_grad(p, inc, grid, QUAD)
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0.0)
+            # Partials change sign, so entries near zero are compared at their column's scale.
+            assert np.all(np.abs(g - g_ref) <= 1e-12 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0)))
+            assert np.all(g[grid <= p.t0] == 0.0)
+        assert inactive_days > 0
+
+    def test_value_is_the_gradient_paths_y(self):
+        inc = IncubationParams()
+        for grid, p in self._cases():
+            assert np.array_equal(predict_daily(p, inc, grid, QUAD), predict_daily_grad(p, inc, grid, QUAD)[0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -60,6 +60,44 @@ class TestDetect:
             detect(ens, np.zeros((4, 2)))
 
 
+def _loop_alarms(outliers, run_length=3):
+    """The former per-region scan of detect, kept as the oracle for its vectorised form."""
+    alarms = []
+    n_days, n_regions = outliers.shape
+    for r in range(n_regions):
+        run = 0
+        for i in range(n_days):
+            if outliers[i, r]:
+                run += 1
+                if run == run_length:
+                    alarms.append((r, i, run))
+            else:
+                run = 0
+    full = []
+    for r, day, _ in alarms:
+        length = run_length
+        for i in range(day + 1, n_days):
+            if not outliers[i, r]:
+                break
+            length += 1
+        full.append((r, day, length))
+    return tuple(full)
+
+
+def test_alarms_match_the_loop_oracle():
+    rng = np.random.default_rng(11)
+    ensembles = {}
+    for _ in range(3000):
+        shape = (int(rng.integers(0, 25)), int(rng.integers(1, 5)))
+        if shape not in ensembles:
+            ensembles[shape] = ensemble_with_boundary(np.full(shape, 10.0), n_samples=20)
+        mask = rng.random(shape) < rng.uniform(0.1, 0.95)
+        result = detect(ensembles[shape], np.where(mask, 20.0, 5.0))
+        assert np.array_equal(result.outliers, mask)
+        assert result.alarms == _loop_alarms(mask)
+        assert all(type(v) is int for alarm in result.alarms for v in alarm)
+
+
 class TestExceedance:
     def test_observed_equals_boundary(self):
         ens = ensemble_with_boundary(np.full((14, 3), 25.0))
