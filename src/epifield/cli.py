@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, plots
-from .config import RunConfig, content_hash
+from .config import FIT_FIELDS, RunConfig, content_hash
 from .data import CaseData, generate_synthetic, ingest_cases, smooth, write_cases_csv
 from .forecast import (
     crps,
@@ -107,9 +107,10 @@ def _fit_context(cfg, graph, series):
 
 
 def _data_hash(cfg, raw):
-    """Hash of the config, whether --raw turned smoothing off, and the three input files' bytes."""
+    """Hash of the config's FIT_FIELDS, whether --raw turned smoothing off, and the three input files' bytes."""
     inputs = [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
-    return content_hash(cfg, b"raw" if raw or cfg.smoothing_window <= 1 else b"smoothed", *inputs)
+    smoothing = b"raw" if raw or cfg.smoothing_window <= 1 else b"smoothed"
+    return content_hash(cfg, smoothing, *inputs, fields=FIT_FIELDS)
 
 
 def _load_fit(cfg, args):
@@ -117,7 +118,7 @@ def _load_fit(cfg, args):
     fit_bytes = (Path(args.out) / "fit.json").read_bytes()
     doc = json.loads(fit_bytes)
     if doc["config_hash"] != _data_hash(cfg, args.raw):
-        raise ValueError("fit.json was produced from a different config, dataset or --raw setting; re-run fit")
+        raise ValueError("fit.json was produced from different fit settings, dataset or --raw setting; re-run fit")
     return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), fit_bytes
 
 

@@ -91,9 +91,12 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def to_json(self):
+    def to_json(self, fields=None):
+        """The config as JSON; `fields` keeps only those keys."""
         doc = asdict(self)
         doc["regions"] = list(self.regions)
+        if fields is not None:
+            doc = {name: doc[name] for name in fields}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -116,10 +119,23 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
-def content_hash(config: RunConfig, *inputs: bytes) -> str:
-    """Hash binding an artifact to its configuration and the bytes of its inputs."""
+# The fields a fit depends on: the time axis, smoothing, the model, prior and
+# Jacobian, the optimizer (seed included) and the region subset.  Forecast,
+# surveillance and scoring knobs are not among them, so editing those keeps fit.json.
+FIT_FIELDS = (
+    "reference_date", "fit_start", "fit_end",
+    "smoothing_window",
+    "quad_nodes", "incubation_mu", "incubation_sigma", "prior_t0_mean", "prior_t0_sd",
+    "include_jacobian_entropy",
+    "step_size", "beta1", "beta2", "eps_adam", "max_iters", "n_samples", "grad_tol", "seed",
+    "regions",
+)
+
+
+def content_hash(config: RunConfig, *inputs: bytes, fields=None) -> str:
+    """Hash binding an artifact to its configuration (or those `fields` of it) and the bytes of its inputs."""
     h = hashlib.sha256()
-    h.update(config.to_json().encode())
+    h.update(config.to_json(fields).encode())
     for data in inputs:
         h.update(len(data).to_bytes(8, "little"))
         h.update(data)

@@ -4,6 +4,11 @@ A Gamma-shaped infection-rate pulse convolved against a lognormal
 incubation CDF gives the expected number of people turning symptomatic
 each day.  The convolution and its parameter derivatives are evaluated by
 Gauss-Legendre quadrature mapped onto [t0, t_i] for each day.
+
+The incubation window G(r) = F_inc(r) - F_inc(r - 1) depends only on the
+incubation parameters, so it is tabulated once per `IncubationParams` (from
+`incubation_cdf` and `incubation_pdf`) and evaluated by cubic-Hermite
+lookup; the gradient differentiates that interpolant.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ from scipy.special import digamma, erfc, gammaln
 from .transforms import EPS_THETA, K_MIN
 
 DEFAULT_QUAD_NODES = 64
+
+# Incubation-window table: cells per day (step h = 1/32) and the largest table built.
+_WINDOW_CELLS_PER_DAY = 32
+_WINDOW_MAX_CELLS = 2**20
 
 # Lognormal incubation fit for COVID-19 (Lauer et al. 2020), log-days.
 DEFAULT_INCUBATION_MU = 1.621
@@ -146,18 +155,76 @@ def _day_quadrature(p: RegionParams, day_grid, quad: QuadratureRule):
     return tau, half, 0.5 * (quad.nodes + 1.0), active
 
 
-def _incubation_window(tau, day_grid, inc: IncubationParams):
-    """F_inc(t_i - tau) - F_inc(t_{i-1} - tau) with t_{i-1} = t_i - 1."""
-    day = np.asarray(day_grid, dtype=float)[:, None]
-    return incubation_cdf(day - tau, inc) - incubation_cdf(day - 1.0 - tau, inc)
+@lru_cache(maxsize=8)
+def _window_table(inc: IncubationParams):
+    """Cubic-Hermite coefficients of G(r) = F_inc(r) - F_inc(r - 1), shape (4, n + 1).
+
+    Cell j covers [j h, (j + 1) h) with h = 1/32 day; on it G = a0 + a1 s +
+    a2 s^2 + a3 s^3 at s = r/h - j, with row k holding a_k.  The table ends
+    at r_max = exp(mu + 8.5 sigma) + 1, rounded up to a whole cell, where the
+    lognormal tail is below 1e-17; the extra last cell is all zero, so
+    r >= r_max gives G = 0.  Raises ValueError above 2^20 cells.
+    """
+    r_max = np.exp(inc.mu + 8.5 * inc.sigma) + 1.0
+    if not r_max * _WINDOW_CELLS_PER_DAY <= _WINDOW_MAX_CELLS:
+        raise ValueError(
+            f"incubation window table would span {r_max:.4g} days, more than the limit of "
+            f"{_WINDOW_MAX_CELLS} cells ({_WINDOW_MAX_CELLS // _WINDOW_CELLS_PER_DAY} days); "
+            f"reduce incubation mu or sigma"
+        )
+    n = int(np.ceil(r_max * _WINDOW_CELLS_PER_DAY))
+    r = np.arange(n + 1) / _WINDOW_CELLS_PER_DAY
+    g = incubation_cdf(r, inc) - incubation_cdf(r - 1.0, inc)
+    dg = (incubation_pdf(r, inc) - incubation_pdf(r - 1.0, inc)) / _WINDOW_CELLS_PER_DAY  # dG/ds
+    coef = np.zeros((4, n + 1))
+    coef[0, :n] = g[:-1]
+    coef[1, :n] = dg[:-1]
+    coef[2, :n] = 3.0 * (g[1:] - g[:-1]) - 2.0 * dg[:-1] - dg[1:]
+    coef[3, :n] = 2.0 * (g[:-1] - g[1:]) + dg[:-1] + dg[1:]
+    coef.flags.writeable = False
+    return coef
+
+
+def _incubation_window(tau, day_grid, inc: IncubationParams, with_grad):
+    """(G, dG/dr) at r = t_i - tau; dG/dr is None unless with_grad.
+
+    Both come from the cubic in `_window_table`; r <= 0 (G(0) = G'(0) = 0)
+    and r >= r_max land on exact zeros.
+    """
+    coef = _window_table(inc)
+    x = np.asarray(day_grid, dtype=float)[:, None] - tau
+    x *= _WINDOW_CELLS_PER_DAY
+    np.fmax(x, 0.0, out=x)  # fmax/fmin, unlike clip, also send NaN to the zero at r = 0
+    np.fmin(x, coef.shape[1] - 1, out=x)
+    cell = x.astype(np.intp)
+    x -= cell  # the offset s in [0, 1)
+    a3, a2, a1 = coef[3].take(cell), coef[2].take(cell), coef[1].take(cell)
+    g = a3 * x
+    g += a2
+    g *= x
+    g += a1
+    g *= x
+    g += coef[0].take(cell)
+    if not with_grad:
+        return g, None
+    a3 *= 3.0 * x
+    a3 += 2.0 * a2
+    a3 *= x
+    a3 += a1
+    a3 *= _WINDOW_CELLS_PER_DAY
+    return g, a3
 
 
 def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad):
-    """The daily convolution y, and with_grad its partials: y or (y, grad)."""
+    """The daily convolution y, and with_grad its partials: y or (y, grad).
+
+    The window G and dG/dr come from the tabulated cubic (`_incubation_window`),
+    so the partials are exact derivatives of the interpolated model.
+    """
     day_grid = np.asarray(day_grid, dtype=float)
     tau, half, c, active = _day_quadrature(p, day_grid, quad)
     u, log_u, f = _gamma_rate(tau, p)
-    window = _incubation_window(tau, day_grid, inc)
+    window, dwindow_dr = _incubation_window(tau, day_grid, inc, with_grad)
     w = quad.weights
     s = (f * window) @ w
     y = np.where(active, np.maximum(p.N * half * s, 0.0), 0.0)
@@ -165,12 +232,11 @@ def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadrature
         return y
 
     df_dt0, df_dk, df_dtheta = _gamma_partials(u, log_u, f, p)
-    day = day_grid[:, None]
-    dwindow_dtau = incubation_pdf(day - 1.0 - tau, inc) - incubation_pdf(day - tau, inc)
     grad = np.empty((day_grid.size, 4))
     # With t0 the half-width moves by -1/2 and the nodes by dtau/dt0 = 1 - c;
-    # the rate f(tau - t0) then moves by df/dtau (1 - c) + df/dt0 = c df/dt0.
-    grad[:, 0] = p.N * (half * ((c * df_dt0 * window + (1.0 - c) * f * dwindow_dtau) @ w) - 0.5 * s)
+    # the rate f(tau - t0) then moves by df/dtau (1 - c) + df/dt0 = c df/dt0,
+    # and the window G(t_i - tau) by -dG/dr (1 - c).
+    grad[:, 0] = p.N * (half * ((c * df_dt0 * window - (1.0 - c) * f * dwindow_dr) @ w) - 0.5 * s)
     grad[:, 1] = half * s
     grad[:, 2] = p.N * half * ((df_dk * window) @ w)
     grad[:, 3] = p.N * half * ((df_dtheta * window) @ w)
@@ -192,7 +258,9 @@ def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: Q
     The gradient differentiates the discrete quadrature sum itself, so the
     t0 case also tracks the motion of the mapped nodes and weights with the
     lower integration limit.  The Leibniz boundary term -f_inf(t0) is
-    identically zero because k >= 2.
+    identically zero because k >= 2.  The incubation window is the
+    cubic-Hermite interpolant of its table, and the t0 partial differentiates
+    that interpolant, so finite differences of predict_daily agree with it.
 
     Returns (y, grad) with grad of shape (len(day_grid), 4) in the order
     (t0, N, k, theta); y equals predict_daily exactly.

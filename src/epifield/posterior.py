@@ -13,12 +13,13 @@ can be dropped to match a pure-Gaussian objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .graph import RegionGraph
 from .likelihood import log_likelihood, log_likelihood_and_grad
-from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, predict_daily, predict_daily_grad
+from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, _window_table, predict_daily, predict_daily_grad
 from .params import ParamVector, dim_for
 from .transforms import PriorSpec, TransformSpec, log_prior
 
@@ -42,6 +43,9 @@ class ModelContext:
             raise ValueError("y_obs must be (len(day_grid), n_regions)")
         object.__setattr__(self, "day_grid", day_grid)
         object.__setattr__(self, "y_obs", y_obs)
+        # Build (or find) the shared incubation-window table now: an oversized one
+        # is refused here, not as a penalty point inside an optimizer.
+        _window_table(self.incubation)
 
     @property
     def n_regions(self):
@@ -51,11 +55,11 @@ class ModelContext:
     def dim(self):
         return dim_for(self.n_regions)
 
-    @property
+    @cached_property
     def transforms(self) -> TransformSpec:
         return TransformSpec.for_regions(self.n_regions)
 
-    @property
+    @cached_property
     def quad(self) -> QuadratureRule:
         return QuadratureRule.gauss_legendre(self.quad_nodes)
 

@@ -59,3 +59,18 @@ def make_context(n_regions=3, n_days=40, seed=0, include_jacobian=True, truth=No
 @pytest.fixture
 def ctx3():
     return make_context(n_regions=3, n_days=40, seed=11)[0]
+
+
+# The acceptance criteria that run long fits: most of the suite's wall time.
+SLOW_TESTS = {
+    "test_criterion_4_synthetic_recovery",
+    "test_criterion_5_mfvi_vs_amcmc",
+    "test_criterion_7_detection_performance",
+}
+
+
+def pytest_collection_modifyitems(config, items):
+    """Mark SLOW_TESTS `slow`, so that `pytest -m "not slow"` is a quick edit-test loop."""
+    for item in items:
+        if item.name in SLOW_TESTS:
+            item.add_marker(pytest.mark.slow)

@@ -9,6 +9,7 @@ import pytest
 import epifield.cli
 from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
+from epifield.config import FIT_FIELDS
 from epifield.forecast import write_ensemble_npz
 
 
@@ -41,6 +42,24 @@ class TestRunConfig:
         cfg = RunConfig()
         assert content_hash(cfg, b"ab", b"c") != content_hash(cfg, b"a", b"bc")
         assert content_hash(cfg, b"ab") != content_hash(cfg, b"ab", b"")
+
+    def test_fit_hash_binds_only_fit_fields(self):
+        # Input paths are not bound; the CLI binds the files' bytes instead.
+        downstream = {
+            "cases_csv": "other.csv", "regions_csv": "r.csv", "edges_csv": "e.csv", "forecast_days": 30,
+            "ppt_samples": 7, "n_smooth": 3, "mcmc_draws": 10, "crps_on_raw": True, "detect_on_raw": True,
+            "cluster_linkage": "single", "cluster_cut": 0.1, "cluster_cut_mode": "quantile",
+        }
+        assert set(downstream).isdisjoint(FIT_FIELDS)
+        assert set(downstream) | set(FIT_FIELDS) == set(RunConfig.__dataclass_fields__)
+        cfg = RunConfig()
+        h = content_hash(cfg, b"data", fields=FIT_FIELDS)
+        for name, value in downstream.items():
+            assert content_hash(cfg.with_overrides(**{name: value}), b"data", fields=FIT_FIELDS) == h, name
+        fit_edits = {"fit_end": "2020-09-01", "smoothing_window": 3, "incubation_sigma": 0.5,
+                     "include_jacobian_entropy": False, "max_iters": 10, "seed": 1, "regions": ("a",)}
+        for name, value in fit_edits.items():
+            assert content_hash(cfg.with_overrides(**{name: value}), b"data", fields=FIT_FIELDS) != h, name
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +146,42 @@ class TestCliPipeline:
         other.write_text(json.dumps(altered))
         assert main(["forecast", "--config", str(other), "--out", out]) == 2
         assert "re-run fit" in capsys.readouterr().err
+
+    def test_optimizer_edit_refused(self, pipeline, tmp_path, capsys):
+        _, cfg_path, out = pipeline
+        other = _edited_config(cfg_path, tmp_path, max_iters=201)
+        assert main(["forecast", "--config", str(other), "--out", out]) == 2
+        assert "re-run fit" in capsys.readouterr().err
+
+    def test_cluster_cut_edit_keeps_the_fit(self, pipeline, tmp_path):
+        # A private output directory with a copy of fit.json leaves the shared one alone.
+        root, cfg_path, out = pipeline
+        shutil.copy(root / "out" / "fit.json", tmp_path / "fit.json")
+        assert main(["cluster", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        before = (tmp_path / "clusters.csv").read_bytes()
+        other = _edited_config(cfg_path, tmp_path, cluster_cut=1.5)
+        assert main(["cluster", "--config", str(other), "--out", str(tmp_path)]) == 0
+        after = (tmp_path / "clusters.csv").read_bytes()
+        assert after != before
+        with open(tmp_path / "clusters.csv") as fh:
+            assert {row["cluster_label"] for row in csv.DictReader(fh)} == {"1"}
+
+    def test_oversized_incubation_table_is_data_error(self, pipeline, tmp_path, capsys):
+        _, cfg_path, _ = pipeline
+        other = _edited_config(cfg_path, tmp_path, incubation_sigma=2.0)
+        for command in ("fit", "simulate"):
+            assert main([command, "--config", str(other), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "1048576 cells" in err, command
+        assert not (tmp_path / "fit.json").exists()
+
+
+def _edited_config(cfg_path, directory, **edits):
+    """A copy of the config at cfg_path with edits, written to directory."""
+    doc = {**json.loads(cfg_path.read_text()), **edits}
+    path = directory / "edited_config.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestCliErrors:

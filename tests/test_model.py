@@ -14,7 +14,8 @@ from epifield import (
     predict_daily,
     predict_daily_grad,
 )
-from epifield.model import _day_quadrature, incubation_pdf, infection_rate_grad
+from epifield import model
+from epifield.model import _day_quadrature, _incubation_window, _window_table, incubation_pdf, infection_rate_grad
 
 QUAD = QuadratureRule.gauss_legendre(64)
 
@@ -235,34 +236,40 @@ def _reference_rate_grad(t, p):
     return f, df_dt0, df_dk, df_dtheta
 
 
-def _reference_window(tau, day_grid, inc):
-    day = np.asarray(day_grid, dtype=float)[:, None]
-    return incubation_cdf(day - tau, inc) - incubation_cdf(day - 1.0 - tau, inc)
+def _erfc_window(tau, day_grid, inc):
+    """The window G(r) = F_inc(r) - F_inc(r - 1) and dG/dr at r = t_i - tau, from the CDF and pdf."""
+    r = np.asarray(day_grid, dtype=float)[:, None] - tau
+    return (incubation_cdf(r, inc) - incubation_cdf(r - 1.0, inc),
+            incubation_pdf(r, inc) - incubation_pdf(r - 1.0, inc))
 
 
-def reference_predict_daily(p, inc, day_grid, quad):
+def _table_window(tau, day_grid, inc):
+    """The model's tabulated window, so that the reference kernels pin the convolution algebra."""
+    return _incubation_window(tau, day_grid, inc, with_grad=True)
+
+
+def reference_predict_daily(p, inc, day_grid, quad, window=_table_window):
     """The separate value kernel that predict_daily replaced, kept as its oracle."""
     tau, w, active = _reference_day_quadrature(p, day_grid, quad)
     f = _reference_rate_grad(tau, p)[0]
-    ftil = _reference_window(tau, day_grid, inc)
+    ftil = window(tau, day_grid, inc)[0]
     y = p.N * np.sum(w * f * ftil, axis=1)
     return np.where(active, np.maximum(y, 0.0), 0.0)
 
 
-def reference_predict_daily_grad(p, inc, day_grid, quad):
+def reference_predict_daily_grad(p, inc, day_grid, quad, window=_table_window):
     """The separate gradient kernel that predict_daily_grad replaced, kept as its oracle."""
     day_grid = np.asarray(day_grid, dtype=float)
     tau, w, active = _reference_day_quadrature(p, day_grid, quad)
     f, df_dt0, df_dk, df_dtheta = _reference_rate_grad(tau, p)
-    ftil = _reference_window(tau, day_grid, inc)
+    ftil, dftil_dr = window(tau, day_grid, inc)
     y = p.N * np.sum(w * f * ftil, axis=1)
     grad = np.empty((day_grid.size, 4))
     b = np.where(active, day_grid, p.t0 + 1.0)
     c = (tau - p.t0) / (b - p.t0)[:, None]
     dtau_dt0 = 1.0 - c
     df_dtau = -df_dt0
-    day = day_grid[:, None]
-    dftil_dtau = -(incubation_pdf(day - tau, inc) - incubation_pdf(day - 1.0 - tau, inc))
+    dftil_dtau = -dftil_dr
     d_dt0 = (
         -np.sum(w * f * ftil, axis=1) / (b - p.t0)
         + np.sum(w * (df_dtau * dtau_dt0 + df_dt0) * ftil, axis=1)
@@ -308,6 +315,93 @@ class TestKernelMatchesReference:
         inc = IncubationParams()
         for grid, p in self._cases():
             assert np.array_equal(predict_daily(p, inc, grid, QUAD), predict_daily_grad(p, inc, grid, QUAD)[0])
+
+
+def _table_end(inc):
+    """r_max: exp(mu + 8.5 sigma) + 1 rounded up to a whole 1/32-day cell."""
+    return np.ceil(32.0 * (np.exp(inc.mu + 8.5 * inc.sigma) + 1.0)) / 32.0
+
+
+def _criterion_2_cases(seed, n):
+    """Parameter sets drawn as in acceptance criterion 2, on its 40-day grid."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield RegionParams(
+            t0=-rng.uniform(2.0, 15.0), N=rng.uniform(50.0, 5000.0),
+            k=rng.uniform(2.05, 6.0), theta=rng.uniform(1.0, 15.0),
+        )
+
+
+class TestWindowTable:
+    """The tabulated window against incubation_cdf / incubation_pdf, its source and oracle."""
+
+    INCUBATIONS = (IncubationParams(), IncubationParams(mu=1.0, sigma=0.6), IncubationParams(mu=2.2, sigma=0.3))
+    # Largest |G - G_ref| and |G' - G'_ref| allowed.  A cubic Hermite step's error
+    # is O(h^4) times the fourth derivative, which grows as the incubation median shrinks.
+    BOUNDS = ((2e-9, 2e-7), (1e-8, 1e-6), (2e-9, 2e-7))
+
+    @staticmethod
+    def _window_at(r, inc):
+        return _incubation_window(-np.asarray(r, dtype=float)[None, :], np.zeros(1), inc, with_grad=True)
+
+    def test_matches_cdf_and_pdf(self):
+        for inc, (g_bound, dg_bound) in zip(self.INCUBATIONS, self.BOUNDS):
+            r_max = _table_end(inc)
+            r = np.concatenate([
+                np.linspace(-2.0, r_max + 5.0, 400_001),
+                np.linspace(0.0, 1.0, 10_001),
+                1.0 + np.linspace(-1e-3, 1e-3, 2001),
+                np.linspace(r_max - 20.0, r_max, 10_001),
+            ])
+            g, dg = self._window_at(r, inc)
+            g_ref, dg_ref = _erfc_window(-r[None, :], np.zeros(1), inc)
+            assert np.max(np.abs(g - g_ref)) <= g_bound, inc
+            assert np.max(np.abs(dg - dg_ref)) <= dg_bound, inc
+
+    def test_exact_zeros_outside_the_table(self):
+        for inc in self.INCUBATIONS:
+            r_max = _table_end(inc)
+            r = np.array([-1e6, -30.0, -1.0, -1e-9, 0.0, np.nan, r_max, r_max + 1e-9, r_max + 3.0, 1e9])
+            g, dg = self._window_at(r, inc)
+            assert np.all(g == 0.0) and np.all(dg == 0.0), inc
+            g_in = self._window_at(np.array([0.5, 1.0, np.exp(inc.mu)]), inc)[0]
+            assert np.all(g_in > 0.0)
+
+    def test_predictions_match_the_erfc_kernel(self):
+        inc = IncubationParams()
+        grid = np.arange(1.0, 41.0)
+        for p in _criterion_2_cases(seed=505, n=40):
+            y = predict_daily(p, inc, grid, QUAD)
+            y_ref, g_ref = reference_predict_daily_grad(p, inc, grid, QUAD, window=_erfc_window)
+            scale = np.maximum(y_ref, 1e-9 * y_ref.max())
+            assert np.max(np.abs(y - y_ref) / scale) <= 1e-7
+            g = predict_daily_grad(p, inc, grid, QUAD)[1]
+            assert np.all(np.abs(g - g_ref) <= 1e-6 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0)))
+
+    def test_hot_path_calls_neither_cdf_nor_pdf(self, monkeypatch):
+        inc = IncubationParams()
+        grid = np.arange(1.0, 61.0)
+        predict_daily(RegionParams(t0=-5.0, N=100.0, k=3.0, theta=5.0), inc, grid, QUAD)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the forward model evaluated the incubation CDF or pdf")
+
+        monkeypatch.setattr(model, "incubation_cdf", forbidden)
+        monkeypatch.setattr(model, "incubation_pdf", forbidden)
+        y, g = predict_daily_grad(RegionParams(t0=-9.0, N=321.0, k=2.7, theta=8.0), inc, grid, QUAD)
+        assert np.all(np.isfinite(g)) and y.max() > 0.0
+
+    def test_oversized_table_refused(self):
+        with pytest.raises(ValueError, match="1048576 cells"):
+            _window_table(IncubationParams(mu=1.6, sigma=2.0))
+        with pytest.raises(ValueError, match="1048576 cells"):
+            predict_daily(RegionParams(t0=-5.0, N=100.0, k=3.0, theta=5.0),
+                          IncubationParams(mu=12.0, sigma=0.418), np.arange(1.0, 5.0), QUAD)
+
+    def test_table_is_shared_and_read_only(self):
+        table = _window_table(IncubationParams())
+        assert _window_table(IncubationParams(mu=1.621, sigma=0.418)) is table
+        assert not table.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)
