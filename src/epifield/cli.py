@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, plots
-from .config import FIT_FIELDS, RunConfig, content_hash
+from .config import ENSEMBLE_FIELDS, FIT_FIELDS, RunConfig, content_hash
 from .data import CaseData, generate_synthetic, ingest_cases, smooth, write_cases_csv
 from .forecast import (
     crps,
@@ -164,9 +164,9 @@ def cmd_fit(args, cfg):
 def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
     """Inputs and the posterior-predictive ensemble of a downstream command.
 
-    The ensemble is read from <out>/ensemble.npz when its key (the config
-    and fit.json) matches, and otherwise drawn and written there;
-    `reuse=False` always draws.
+    The ensemble is read from <out>/ensemble.npz when its key (the config's
+    ENSEMBLE_FIELDS and fit.json's bytes) matches, and otherwise drawn and
+    written there; `reuse=False` always draws.
     """
     graph = _load_graph(cfg)
     series = _load_series(cfg, graph, raw=args.raw)
@@ -176,7 +176,7 @@ def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
     if need_forecast and n_fc <= 0:
         raise ValueError("no observations beyond the fit window; cannot forecast/detect")
     path = Path(args.out) / "ensemble.npz"
-    key = content_hash(cfg, fit_bytes)
+    key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
     ensemble = read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
         ensemble = sample_ppt(state, ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)

@@ -132,6 +132,11 @@ FIT_FIELDS = (
 )
 
 
+# The fields the posterior-predictive ensemble reads beyond the fit: its length,
+# size and draw seed.  Its key binds these and fit.json's bytes, which bind the rest.
+ENSEMBLE_FIELDS = ("forecast_days", "ppt_samples", "seed")
+
+
 def content_hash(config: RunConfig, *inputs: bytes, fields=None) -> str:
     """Hash binding an artifact to its configuration (or those `fields` of it) and the bytes of its inputs."""
     h = hashlib.sha256()

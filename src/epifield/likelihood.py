@@ -7,8 +7,12 @@ The per-day noise covariance is
 
 where W is the region adjacency and D the degree matrix.  One evaluation
 factors P once (all days share P^{-1}) and takes one batched Cholesky
-factorization L_i of the Sigma_i.  The log-determinant and quadratic form
-come from L_i; the gradient reuses L_i for Sigma_i^{-1} = L_i^{-T} L_i^{-1}.
+factorization L_i of the Sigma_i.  Each L_i is then inverted as a triangle
+(LAPACK dtrtri), and the value and the gradient both come from L_i^{-1}:
+the log-determinant from diag L_i, the quadratic form from z_i = L_i^{-1} r_i.
+The gradient never forms Sigma_i^{-1}: it needs Sigma_i^{-1} r_i = L_i^{-T} z_i,
+diag Sigma_i^{-1} (column sums of L_i^{-1} squared) and sum_i Sigma_i^{-1} = A^T A,
+with A the (N_d R, R) stack of the L_i^{-1}.
 `_batched_covariances` is the only place Sigma is assembled, shared by the
 likelihood, the PPT ensemble and the synthetic-data generator.
 """
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .graph import RegionGraph
 from .transforms import EPS_LAMBDA
@@ -78,20 +83,31 @@ def _checked(y_obs, y_pred, graph):
     return y_obs, y_pred
 
 
-def _log_density(r, chol):
-    """Sum over days of log N(r_i; 0, L_i L_i^T)."""
-    # Solve L z = r per day; quadratic form is |z|^2.
-    z = np.linalg.solve(chol, r[:, :, None])[:, :, 0]
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+def _whitened(r, chol):
+    """(L_i^{-1}, z_i = L_i^{-1} r_i, summed log-density) for residuals r of shape (N_d, R).
+
+    Each factor is inverted by LAPACK dtrtri; a singular one raises
+    np.linalg.LinAlgError.  The log-density is the log-determinant term plus |z|^2.
+    """
     n_days, R = r.shape
-    return float(-0.5 * n_days * R * LOG_2PI - 0.5 * np.sum(logdets) - 0.5 * np.sum(z**2))
+    Linv = chol.copy()
+    # Each day's L_i^T is a Fortran-ordered upper factor in the C-ordered copy, so
+    # dtrtri (upper, non-unit diagonal, overwrite) inverts it in place.
+    for i, upper in enumerate(Linv.transpose(0, 2, 1)):
+        info = dtrtri(upper, 0, 0, 1)[1]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Cholesky factor of day {i} is singular (dtrtri info {info})")
+    z = np.einsum("irs,is->ir", Linv, r)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    value = float(-0.5 * n_days * R * LOG_2PI - 0.5 * np.sum(logdets) - 0.5 * np.sum(z**2))
+    return Linv, z, value
 
 
 def log_likelihood(y_obs, y_pred, graph: RegionGraph, eta: NoiseParams):
     """Sum over days of the multivariate Gaussian log-density of the residuals."""
     y_obs, y_pred = _checked(y_obs, y_pred, graph)
     _, chol, _ = _batched_covariances(graph, eta, y_pred)
-    return _log_density(y_obs - y_pred, chol)
+    return _whitened(y_obs - y_pred, chol)[2]
 
 
 def log_likelihood_and_grad(y_obs, y_pred, y_grad, graph: RegionGraph, eta: NoiseParams):
@@ -113,14 +129,14 @@ def log_likelihood_and_grad(y_obs, y_pred, y_grad, graph: RegionGraph, eta: Nois
     if y_grad.shape != y_pred.shape + (4,):
         raise ValueError("prediction gradient shape must be (N_d, R, 4)")
     Pinv, chol, scale = _batched_covariances(graph, eta, y_pred)
-    r = y_obs - y_pred
-    value = _log_density(r, chol)
+    Linv, z, value = _whitened(y_obs - y_pred, chol)
 
-    Linv = np.linalg.inv(chol)
-    Sinv = np.swapaxes(Linv, 1, 2) @ Linv  # (N_d, R, R); symmetric
-    b = np.einsum("irs,is->ir", Sinv, r)
-    diag_Sinv = np.diagonal(Sinv, axis1=1, axis2=2)
-    Sinv_sum = Sinv.sum(axis=0)
+    # From L_i^{-1} alone (Sigma_i^{-1} is never formed): b_i = Sigma_i^{-1} r_i, diag Sigma_i^{-1},
+    # and sum_i Sigma_i^{-1} = A^T A.
+    b = np.einsum("isr,is->ir", Linv, z)
+    diag_Sinv = np.einsum("isr,isr->ir", Linv, Linv)
+    A = Linv.reshape(-1, Linv.shape[2])
+    Sinv_sum = A.T @ A
 
     # tau slot: dSigma = Pinv
     g_tau = -0.5 * np.sum(Sinv_sum * Pinv) + 0.5 * np.sum((b @ Pinv) * b)

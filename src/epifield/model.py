@@ -7,8 +7,9 @@ Gauss-Legendre quadrature mapped onto [t0, t_i] for each day.
 
 The incubation window G(r) = F_inc(r) - F_inc(r - 1) depends only on the
 incubation parameters, so it is tabulated once per `IncubationParams` (from
-`incubation_cdf` and `incubation_pdf`) and evaluated by cubic-Hermite
-lookup; the gradient differentiates that interpolant.
+`incubation_cdf` below the incubation median, the survival function above it,
+and `incubation_pdf`) and evaluated by cubic-Hermite lookup; the gradient
+differentiates that interpolant.
 """
 
 from __future__ import annotations
@@ -130,6 +131,13 @@ def incubation_cdf(t, inc: IncubationParams):
     return out if out.ndim else float(out)
 
 
+def _incubation_sf(t, inc: IncubationParams):
+    """1 - F_inc(t) as 0.5 erfc(+z), which keeps its relative precision in the upper tail; 1 for t <= 0."""
+    pos = t > 0
+    ts = np.where(pos, t, 1.0)
+    return np.where(pos, 0.5 * erfc((np.log(ts) - inc.mu) / (inc.sigma * np.sqrt(2.0))), 1.0)
+
+
 def incubation_pdf(t, inc: IncubationParams):
     t = np.asarray(t, dtype=float)
     pos = t > 0
@@ -159,6 +167,10 @@ def _day_quadrature(p: RegionParams, day_grid, quad: QuadratureRule):
 def _window_table(inc: IncubationParams):
     """Cubic-Hermite coefficients of G(r) = F_inc(r) - F_inc(r - 1), shape (4, n + 1).
 
+    G is tabulated from the CDF up to the incubation median exp(mu) and as
+    S(r - 1) - S(r), with the survival function S = 1 - F_inc (`_incubation_sf`),
+    beyond it, so neither tail loses digits; G' = dG/dr comes from `incubation_pdf`.
+
     Cell j covers [j h, (j + 1) h) with h = 1/32 day; on it G = a0 + a1 s +
     a2 s^2 + a3 s^3 at s = r/h - j, with row k holding a_k.  The table ends
     at r_max = exp(mu + 8.5 sigma) + 1, rounded up to a whole cell, where the
@@ -174,7 +186,10 @@ def _window_table(inc: IncubationParams):
         )
     n = int(np.ceil(r_max * _WINDOW_CELLS_PER_DAY))
     r = np.arange(n + 1) / _WINDOW_CELLS_PER_DAY
-    g = incubation_cdf(r, inc) - incubation_cdf(r - 1.0, inc)
+    # Past the median the CDF form would cancel two values near 1, where G is far
+    # smaller than either; the survival form would do the same below it.
+    g = np.where(r <= np.exp(inc.mu), incubation_cdf(r, inc) - incubation_cdf(r - 1.0, inc),
+                 _incubation_sf(r - 1.0, inc) - _incubation_sf(r, inc))
     dg = (incubation_pdf(r, inc) - incubation_pdf(r - 1.0, inc)) / _WINDOW_CELLS_PER_DAY  # dG/ds
     coef = np.zeros((4, n + 1))
     coef[0, :n] = g[:-1]

@@ -230,7 +230,7 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
         x0 = default_initial_guess(ctx)
     trace = []
 
-    def objective(x):
+    def evaluate(x):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 v, g = ctx.logpost_and_grad(x, include_jacobian=False)
@@ -239,6 +239,19 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
         if not (np.isfinite(v) and np.all(np.isfinite(g))):
             return _PENALTY, np.zeros_like(x)
         return -v, -g
+
+    # L-BFGS-B's first point repeats the start-point check, each callback repeats the
+    # iterate just evaluated, and a restart repeats the point the run before it ended
+    # on: remembering the last point evaluates each point once.
+    last = {}
+
+    def objective(x):
+        key = x.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = evaluate(x)
+        v, g = last[key]
+        return v, g.copy()  # the optimizer gets its own gradient array
 
     x = np.asarray(x0, dtype=float)
     if objective(x)[0] == _PENALTY:

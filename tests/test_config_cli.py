@@ -2,14 +2,16 @@ import csv
 import importlib.resources
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epifield.cli
+import epifield.likelihood
 from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
-from epifield.config import FIT_FIELDS
+from epifield.config import ENSEMBLE_FIELDS, FIT_FIELDS
 from epifield.forecast import write_ensemble_npz
 
 
@@ -205,6 +207,20 @@ class TestCliErrors:
         assert "numerical failure" in capsys.readouterr().err
         assert "LinAlgError" in (tmp_path / "diagnostics.txt").read_text()
 
+    def test_singular_covariance_factor_is_numerical_error(self, pipeline, tmp_path, monkeypatch, capsys):
+        real = epifield.likelihood._batched_covariances
+
+        def singular(*args):
+            Pinv, chol, scale = real(*args)
+            chol[:, 0, 0] = 0.0
+            return Pinv, chol, scale
+
+        monkeypatch.setattr(epifield.likelihood, "_batched_covariances", singular)
+        _, cfg_path, _ = pipeline
+        assert main(["gradcheck", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert "LinAlgError" in (tmp_path / "diagnostics.txt").read_text()
+
     def test_seed_override(self, pipeline, tmp_path):
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline
@@ -324,6 +340,31 @@ class TestEnsembleArtifact:
         assert (tmp_path / "fit.json").read_bytes() != fit_before
         assert self._drawn_by(draws, ["crps", *args, "--raw"]) == 1
         assert self._drawn_by(draws, ["cluster", *args, "--raw"]) == 0
+
+    def test_only_ensemble_field_edits_redraw(self, tmp_path, draws):
+        # Per command, edits of the fields it reads beyond the ensemble and the fit.
+        downstream = {
+            "cluster": {"cluster_cut": 0.1, "cluster_linkage": "single", "cluster_cut_mode": "quantile"},
+            "exceedance": {"n_smooth": 3},
+            "crps": {"crps_on_raw": True},
+            "detect": {"detect_on_raw": True, "mcmc_draws": 10},
+        }
+        edited = {name for edits in downstream.values() for name in edits}
+        input_paths = {"cases_csv", "regions_csv", "edges_csv"}  # fit.json binds the files' bytes
+        bound = set(ENSEMBLE_FIELDS) | set(FIT_FIELDS)
+        assert bound | edited | input_paths == set(RunConfig.__dataclass_fields__)
+        assert bound.isdisjoint(edited | input_paths)
+        args = _simulate_and_fit(tmp_path)
+        cfg_path = Path(args[1])
+        assert self._drawn_by(draws, ["forecast", *args]) == 1
+        for command, edits in downstream.items():
+            for name, value in edits.items():
+                edited_cfg = _edited_config(cfg_path, tmp_path, **{name: value})
+                assert self._drawn_by(draws, [command, "--config", str(edited_cfg), "--out", str(tmp_path)]) == 0, name
+        # seed is also a fit field: editing it refuses fit.json (test_seed_override).
+        for name, value in {"forecast_days": 10, "ppt_samples": 15}.items():
+            edited_cfg = _edited_config(cfg_path, tmp_path, **{name: value})
+            assert self._drawn_by(draws, ["detect", "--config", str(edited_cfg), "--out", str(tmp_path)]) == 1, name
 
     def test_forecast_rewrites_the_file(self, tmp_path, draws):
         args = _simulate_and_fit(tmp_path)

@@ -15,7 +15,7 @@ from epifield import (
     log_likelihood_and_grad,
     path_graph,
 )
-from epifield.likelihood import EPS_DEGREE, _batched_covariances
+from epifield.likelihood import EPS_DEGREE, LOG_2PI, _batched_covariances, _whitened
 from epifield.transforms import EPS_LAMBDA
 
 from conftest import make_context, random_noise
@@ -30,6 +30,30 @@ def _dense_sigma(g, eta, y):
     """Oracle: one day's covariance tau * P^{-1} + diag(sigma_a + sigma_m * y)^2, densely."""
     Pinv = np.linalg.inv(build_precision(g, eta.lambda_phi))
     return eta.tau_phi * Pinv + np.diag((eta.sigma_a + eta.sigma_m * y) ** 2)
+
+
+def _inverse_oracle(y_obs, y_pred, y_grad, g, eta):
+    """The likelihood value and gradient from general inverses, as computed before the
+    triangular-inverse path: np.linalg.solve for z and Sigma^{-1} = L^{-T} L^{-1} per day."""
+    Pinv, chol, scale = _batched_covariances(g, eta, y_pred)
+    r = y_obs - y_pred
+    z = np.linalg.solve(chol, r[:, :, None])[:, :, 0]
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    value = -0.5 * r.size * LOG_2PI - 0.5 * np.sum(logdets) - 0.5 * np.sum(z**2)
+    Linv = np.linalg.inv(chol)
+    Sinv = np.swapaxes(Linv, 1, 2) @ Linv
+    b = np.einsum("irs,is->ir", Sinv, r)
+    diag_Sinv = np.diagonal(Sinv, axis1=1, axis2=2)
+    Sinv_sum = Sinv.sum(axis=0)
+    M = eta.tau_phi * (Pinv @ g.W @ Pinv)
+    grad_eta = np.array([
+        -0.5 * np.sum(Sinv_sum * Pinv) + 0.5 * np.sum((b @ Pinv) * b),
+        -0.5 * np.sum(Sinv_sum * M) + 0.5 * np.sum((b @ M) * b),
+        np.sum(-diag_Sinv * scale + scale * b**2),
+        np.sum((-diag_Sinv + b**2) * scale * y_pred),
+    ])
+    q = eta.sigma_m * scale * (b**2 - diag_Sinv) + b
+    return value, np.einsum("ir,irs->rs", q, y_grad), grad_eta
 
 
 def _batched_sigma(g, eta, y):
@@ -254,6 +278,17 @@ class TestLogLikelihoodGrad:
         assert np.allclose(grad_eta, eta_oracle, rtol=1e-10, atol=1e-10 * np.max(np.abs(eta_oracle)))
         assert np.allclose(grad_model, model_oracle, rtol=1e-10, atol=1e-10 * np.max(np.abs(model_oracle)))
 
+    def test_matches_the_inverse_oracle(self):
+        for g in (path_graph(("a", "b", "c")), _county_graph()):
+            for seed in (5, 6):
+                g, eta, y_obs, y_pred = self._instance(seed=seed, n_days=30, g=g)
+                y_grad = np.random.default_rng(seed).normal(0, 10, y_pred.shape + (4,))
+                value, grad_model, grad_eta = log_likelihood_and_grad(y_obs, y_pred, y_grad, g, eta)
+                value_ref, model_ref, eta_ref = _inverse_oracle(y_obs, y_pred, y_grad, g, eta)
+                assert value == pytest.approx(value_ref, rel=1e-10, abs=0.0)
+                np.testing.assert_allclose(grad_eta, eta_ref, rtol=1e-10, atol=0.0)
+                assert np.all(np.abs(grad_model - model_ref) <= 1e-10 * np.abs(model_ref).max())
+
     def test_value_is_bit_equal_to_log_likelihood(self):
         for g in (path_graph(("a", "b", "c")), _county_graph()):
             g, eta, y_obs, y_pred = self._instance(seed=4, n_days=9, g=g)
@@ -269,7 +304,7 @@ class TestLogLikelihoodGrad:
 
     def test_one_factorisation_per_gradient_evaluation(self, monkeypatch):
         ctx, truth = make_context(n_regions=3, n_days=20, seed=11)
-        calls = {"cholesky": 0, "cho_factor": 0}
+        calls = {"cholesky": 0, "cho_factor": 0, "inv": 0, "solve": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -278,10 +313,21 @@ class TestLogLikelihoodGrad:
 
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         monkeypatch.setattr(epifield.likelihood, "cho_factor", counting("cho_factor", scipy.linalg.cho_factor))
-        ctx.logpost_and_grad(ctx.transforms.inverse(truth.values))
-        assert calls == {"cholesky": 1, "cho_factor": 1}
+        x = ctx.transforms.inverse(truth.values)
+        ctx.logpost_and_grad(x)
+        assert calls == {"cholesky": 1, "cho_factor": 1, "inv": 0, "solve": 0}
+        ctx.logpost(x)
+        assert calls == {"cholesky": 2, "cho_factor": 2, "inv": 0, "solve": 0}
+
+    def test_singular_factor_is_linalg_error(self):
+        rng = np.random.default_rng(8)
+        chol = np.linalg.cholesky(np.eye(3) + 0.1 * np.ones((3, 3)))[None].repeat(4, axis=0)
+        chol[2, 1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="day 2"):
+            _whitened(rng.normal(size=(4, 3)), chol)
 
     def test_model_partials_match_finite_differences(self):
         # Perturb a single prediction entry and compare against the chain rule

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, erfc, gammaln
 from scipy.stats import lognorm
 
 from epifield import (
@@ -243,6 +243,18 @@ def _erfc_window(tau, day_grid, inc):
             incubation_pdf(r, inc) - incubation_pdf(r - 1.0, inc))
 
 
+def _complement_window(tau, day_grid, inc):
+    """_erfc_window with G = S(r - 1) - S(r) from the survival function S = 0.5 erfc(+z),
+    exact in the upper tail where the CDF form cancels two values near 1."""
+    r = np.asarray(day_grid, dtype=float)[:, None] - tau
+
+    def sf(t):
+        ts = np.where(t > 0, t, 1.0)
+        return np.where(t > 0, 0.5 * erfc((np.log(ts) - inc.mu) / (inc.sigma * np.sqrt(2.0))), 1.0)
+
+    return sf(r - 1.0) - sf(r), incubation_pdf(r, inc) - incubation_pdf(r - 1.0, inc)
+
+
 def _table_window(tau, day_grid, inc):
     """The model's tabulated window, so that the reference kernels pin the convolution algebra."""
     return _incubation_window(tau, day_grid, inc, with_grad=True)
@@ -377,6 +389,28 @@ class TestWindowTable:
             assert np.max(np.abs(y - y_ref) / scale) <= 1e-7
             g = predict_daily_grad(p, inc, grid, QUAD)[1]
             assert np.all(np.abs(g - g_ref) <= 1e-6 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0)))
+
+    def test_long_windows_match_the_complement_form(self):
+        # 107-day grids with onsets up to 60 days before them put days 100+ in the
+        # window's upper tail, where a table built from CDF differences kept ~4 digits.
+        inc = IncubationParams()
+        grid = np.arange(1.0, 108.0)
+        rng = np.random.default_rng(606)
+        cases = [RegionParams(t0=-57.5, N=1000.0, k=4.3, theta=3.0)] + [
+            RegionParams(t0=-rng.uniform(2.0, 60.0), N=rng.uniform(50.0, 5000.0),
+                         k=rng.uniform(2.05, 6.0), theta=rng.uniform(1.0, 15.0))
+            for _ in range(20)
+        ]
+        converged = QuadratureRule.gauss_legendre(1024)
+        for p in cases:
+            y, g = predict_daily_grad(p, inc, grid, QUAD)
+            # The table against the exact window on the same 64 nodes.
+            y_ref, g_ref = reference_predict_daily_grad(p, inc, grid, QUAD, window=_complement_window)
+            assert np.max(np.abs(y - y_ref) / np.maximum(y_ref, 1e-9 * y_ref.max())) <= 1e-7, p
+            assert np.all(np.abs(g - g_ref) <= 1e-6 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0))), p
+            # The whole model against the integral: on these long intervals the 64-node rule dominates.
+            y_int = reference_predict_daily(p, inc, grid, converged, window=_complement_window)
+            assert np.max(np.abs(y - y_int) / np.maximum(y_int, 1e-9 * y_int.max())) <= 1e-5, p
 
     def test_hot_path_calls_neither_cdf_nor_pdf(self, monkeypatch):
         inc = IncubationParams()

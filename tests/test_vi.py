@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import epifield.vi
 from epifield import (
     OptimizerConfig,
     VariationalState,
@@ -11,7 +13,7 @@ from epifield import (
     mle_fit,
 )
 from epifield.checks import elbo_gradient_max_relerr, loglik_gradient_max_relerr
-from epifield.vi import Adam, DivergenceError, default_initial_guess, gaussian_entropy, sample_epsilon
+from epifield.vi import _PENALTY, Adam, DivergenceError, _mle_bounds, default_initial_guess, gaussian_entropy, sample_epsilon
 
 from conftest import make_context
 
@@ -213,6 +215,57 @@ class TestMleFit:
         bad = np.full(ctx.dim, 400.0)  # overflows exp slots
         with pytest.raises(ValueError):
             mle_fit(ctx, x0=bad)
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        ctx, _ = make_context(3, 60, seed=24)
+        evals, results = [], []
+        real_eval, real_minimize = type(ctx).logpost_and_grad, epifield.vi.minimize
+
+        def counting_eval(self, x, include_jacobian=None):
+            evals.append(1)
+            return real_eval(self, x, include_jacobian)
+
+        def recording_minimize(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(type(ctx), "logpost_and_grad", counting_eval)
+        monkeypatch.setattr(epifield.vi, "minimize", recording_minimize)
+        mle_fit(ctx)
+        # Each restart after the first starts where the one before it ended.
+        assert len(evals) == sum(res.nfev for res in results) - (len(results) - 1)
+
+    def test_matches_the_reevaluating_loop(self):
+        ctx, _ = make_context(3, 60, seed=24)
+        x, trace = mle_fit(ctx)
+        x_ref, trace_ref = _reevaluating_mle_fit(ctx)
+        assert x.tobytes() == x_ref.tobytes()
+        assert trace.tobytes() == trace_ref.tobytes()
+
+
+def _reevaluating_mle_fit(ctx, config=OptimizerConfig()):
+    """mle_fit as it was before it remembered its last point: the start check, every
+    callback and the restart evaluate the objective again."""
+    trace = []
+
+    def objective(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                v, g = ctx.logpost_and_grad(x, include_jacobian=False)
+            except (ValueError, np.linalg.LinAlgError):
+                return _PENALTY, np.zeros_like(x)
+        if not (np.isfinite(v) and np.all(np.isfinite(g))):
+            return _PENALTY, np.zeros_like(x)
+        return -v, -g
+
+    x = np.asarray(default_initial_guess(ctx), dtype=float)
+    assert objective(x)[0] != _PENALTY
+    options = {"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15}
+    for _ in range(2):
+        res = minimize(objective, x, jac=True, method="L-BFGS-B", bounds=_mle_bounds(ctx),
+                       callback=lambda xk: trace.append(-objective(xk)[0]), options=options)
+        x = res.x
+    return x, np.array(trace)
 
 
 class TestFitMfvi:
