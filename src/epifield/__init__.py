@@ -30,7 +30,7 @@ from .model import (
     predict_daily_grad,
 )
 from .params import ParamVector, dim_for, param_names
-from .posterior import ModelContext, log_posterior, log_posterior_and_grad
+from .posterior import ModelContext
 from .surveillance import (
     DetectionResult,
     ExceedanceMap,
@@ -94,8 +94,6 @@ __all__ = [
     "load_region_graph",
     "log_likelihood",
     "log_likelihood_and_grad",
-    "log_posterior",
-    "log_posterior_and_grad",
     "mle_fit",
     "param_names",
     "path_graph",

@@ -29,9 +29,9 @@ from .forecast import (
 from .graph import load_region_graph
 from .likelihood import NoiseParams
 from .mcmc import AmcmcConfig, run_amcmc, write_chain_summary
-from .model import QuadratureRule, RegionParams, predict_daily
+from .model import QuadratureRule, RegionParams
 from .params import ParamVector, param_names
-from .posterior import ModelContext
+from .posterior import ModelContext, predict_regions
 from .surveillance import (
     cluster_regions,
     detect,
@@ -278,13 +278,11 @@ def cmd_simulate(args, cfg):
                               seed=cfg.seed, quad_nodes=cfg.quad_nodes)
     second_wave = None
     if args.second_wave > 0:
-        quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
-        counts = data.counts.copy()
         # The wave starts on the first forecast day so the fit window stays clean.
-        for r in range(graph.n_regions):
-            wave = RegionParams(t0=float(end_off), N=args.second_wave * regions[r].N, k=2.0, theta=3.0)
-            counts[:, r] += predict_daily(wave, cfg.incubation, day_grid, quad)
-        data = CaseData(dates=data.dates, counts=counts, region_ids=data.region_ids)
+        waves = [RegionParams(t0=float(end_off), N=args.second_wave * p.N, k=2.0, theta=3.0) for p in regions]
+        wave_counts = predict_regions(ParamVector.from_parts(waves, truth.noise), cfg.incubation, day_grid,
+                                      QuadratureRule.gauss_legendre(cfg.quad_nodes))
+        data = CaseData(dates=data.dates, counts=data.counts + wave_counts, region_ids=data.region_ids)
         second_wave = {"amplitude": args.second_wave, "t0": float(end_off), "k": 2.0, "theta": 3.0}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

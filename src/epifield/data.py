@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import RegionGraph
-from .likelihood import _batched_covariances
-from .model import IncubationParams, QuadratureRule, predict_daily
+from .likelihood import correlated_noise
+from .model import IncubationParams, QuadratureRule
 from .params import ParamVector
+from .posterior import predict_regions
 
 DEFAULT_SMOOTHING_WINDOW = 7
 
@@ -24,7 +25,6 @@ class CaseData:
     dates: tuple  # of datetime.date
     counts: np.ndarray  # (N_d, R)
     region_ids: tuple
-    smoothed: bool = False
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -57,7 +57,6 @@ class CaseData:
             dates=tuple(self.dates[i] for i in idx),
             counts=self.counts[idx],
             region_ids=self.region_ids,
-            smoothed=self.smoothed,
         )
 
 
@@ -107,8 +106,7 @@ def smooth(data: CaseData, window=DEFAULT_SMOOTHING_WINDOW):
         raise ValueError("smoothing window must be odd")
     if window > data.n_days:
         raise ValueError(f"window {window} exceeds series length {data.n_days}")
-    return CaseData(dates=data.dates, counts=smooth_counts(data.counts, window),
-                    region_ids=data.region_ids, smoothed=True)
+    return CaseData(dates=data.dates, counts=smooth_counts(data.counts, window), region_ids=data.region_ids)
 
 
 def smooth_counts(counts, window=DEFAULT_SMOOTHING_WINDOW):
@@ -127,19 +125,11 @@ def synthetic_counts(truth: ParamVector, graph: RegionGraph, inc: IncubationPara
 
     Returns (observations, noise-free predictions), both (N_d, R).
     """
-    day_grid = np.asarray(day_grid, dtype=float)
-    quad = QuadratureRule.gauss_legendre(quad_nodes)
-    y = np.column_stack(
-        [predict_daily(truth.region(r), inc, day_grid, quad) for r in range(graph.n_regions)]
-    )
+    y = predict_regions(truth, inc, day_grid, QuadratureRule.gauss_legendre(quad_nodes))
     eta = truth.noise
     if eta.tau_phi == 0 and eta.sigma_a == 0 and eta.sigma_m == 0:
         return y.copy(), y
-    _, chol, _ = _batched_covariances(graph, eta, y)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(y.shape)
-    noise = np.einsum("irs,is->ir", chol, z)
-    return np.maximum(y + noise, 0.0), y
+    return np.maximum(y + correlated_noise(graph, eta, y, np.random.default_rng(seed)), 0.0), y
 
 
 def generate_synthetic(truth: ParamVector, graph: RegionGraph, inc: IncubationParams, reference_date, day_grid, seed=0, quad_nodes=64):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .likelihood import _batched_covariances
+from .likelihood import correlated_noise
 from .mcmc import ChainState
 from .params import ParamVector
 from .posterior import ModelContext
@@ -83,15 +83,13 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0, max_r
         try:
             theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
             y = ctx.predictions(theta, day_grid=day_grid)
-            _, chol, _ = _batched_covariances(ctx.graph, theta.noise, y)
+            noise = correlated_noise(ctx.graph, theta.noise, y, rng)
         except (ValueError, np.linalg.LinAlgError):
             retries += 1
             if retries > max_retries:
                 raise np.linalg.LinAlgError(f"covariance factorization failed {retries} times in a row")
             continue
         retries = 0
-        z = rng.standard_normal((day_grid.size, ctx.n_regions))
-        noise = np.einsum("irs,is->ir", chol, z)
         pushforward[j] = y
         samples[j] = y + noise
         j += 1

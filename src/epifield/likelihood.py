@@ -13,8 +13,9 @@ the log-determinant from diag L_i, the quadratic form from z_i = L_i^{-1} r_i.
 The gradient never forms Sigma_i^{-1}: it needs Sigma_i^{-1} r_i = L_i^{-T} z_i,
 diag Sigma_i^{-1} (column sums of L_i^{-1} squared) and sum_i Sigma_i^{-1} = A^T A,
 with A the (N_d R, R) stack of the L_i^{-1}.
-`_batched_covariances` is the only place Sigma is assembled, shared by the
-likelihood, the PPT ensemble and the synthetic-data generator.
+`_batched_covariances` is the only place Sigma is assembled.  `correlated_noise`
+draws noise with covariance Sigma_i from its factors; it is the one noise draw,
+shared by the PPT ensemble and the synthetic-data generator.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ def _batched_covariances(graph, eta, y_pred):
     idx = np.arange(graph.n_regions)
     Sigma[:, idx, idx] += scale**2
     return Pinv, np.linalg.cholesky(Sigma), scale
+
+
+def correlated_noise(graph, eta, y_pred, rng):
+    """Day-wise noise L_i z_i with covariance Sigma_i, shaped like y_pred; z_i ~ N(0, I).
+
+    z is drawn from rng only after every Sigma_i has factored.
+    """
+    _, chol, _ = _batched_covariances(graph, eta, y_pred)
+    return np.einsum("irs,is->ir", chol, rng.standard_normal(y_pred.shape))
 
 
 def _checked(y_obs, y_pred, graph):

@@ -8,6 +8,10 @@ transforms into a single callable surface: value and gradient of
 as a function of the unconstrained vector x.  The Jacobian term makes the
 target the density of the push-forward surrogate; it is on by default and
 can be dropped to match a pure-Gaussian objective.
+
+`_log_posterior` is the one assembly behind `ModelContext.logpost` and
+`.logpost_and_grad`, and `predict_regions` the one loop of the forward model
+over regions.
 """
 
 from __future__ import annotations
@@ -64,59 +68,50 @@ class ModelContext:
         return QuadratureRule.gauss_legendre(self.quad_nodes)
 
     def logpost(self, xhat, include_jacobian=None):
-        return log_posterior(self, xhat, include_jacobian)
+        return _log_posterior(self, xhat, include_jacobian, with_grad=False)
 
     def logpost_and_grad(self, xhat, include_jacobian=None):
-        return log_posterior_and_grad(self, xhat, include_jacobian)
+        return _log_posterior(self, xhat, include_jacobian, with_grad=True)
 
     def predictions(self, theta: ParamVector, day_grid=None):
         """Model predictions (N_d, R) at constrained parameters theta."""
         grid = self.day_grid if day_grid is None else np.asarray(day_grid, dtype=float)
-        quad = self.quad
-        y = np.empty((grid.size, self.n_regions))
-        for r in range(self.n_regions):
-            y[:, r] = predict_daily(theta.region(r), self.incubation, grid, quad)
-        return y
+        return predict_regions(theta, self.incubation, grid, self.quad)
 
     def predictions_and_grad(self, theta: ParamVector):
-        quad = self.quad
-        y = np.empty((self.day_grid.size, self.n_regions))
-        g = np.empty((self.day_grid.size, self.n_regions, 4))
-        for r in range(self.n_regions):
-            y[:, r], g[:, r, :] = predict_daily_grad(theta.region(r), self.incubation, self.day_grid, quad)
-        return y, g
+        return predict_regions(theta, self.incubation, self.day_grid, self.quad, with_grad=True)
 
 
-def log_posterior(ctx: ModelContext, xhat, include_jacobian=None):
-    """Value of the unconstrained log-posterior at xhat."""
+def predict_regions(theta: ParamVector, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad=False):
+    """Every region's forward model on day_grid: y (N_d, R), or with_grad (y, partials (N_d, R, 4))."""
+    day_grid = np.asarray(day_grid, dtype=float)
+    y = np.empty((day_grid.size, theta.n_regions))
+    grad = np.empty(y.shape + (4,)) if with_grad else None
+    for r in range(theta.n_regions):
+        if with_grad:
+            y[:, r], grad[:, r] = predict_daily_grad(theta.region(r), inc, day_grid, quad)
+        else:
+            y[:, r] = predict_daily(theta.region(r), inc, day_grid, quad)
+    return (y, grad) if with_grad else y
+
+
+def _log_posterior(ctx: ModelContext, xhat, include_jacobian, with_grad):
+    """The unconstrained log-posterior at xhat: its value, or with_grad (value, gradient)."""
     tf = ctx.transforms
     theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
-    y = ctx.predictions(theta)
-    value = log_likelihood(ctx.y_obs, y, ctx.graph, theta.noise)
-    value += log_prior(theta.values, ctx.prior, ctx.n_regions)[0]
+    if with_grad:
+        y, y_grad = ctx.predictions_and_grad(theta)
+        value, grad_model, grad_eta = log_likelihood_and_grad(ctx.y_obs, y, y_grad, ctx.graph, theta.noise)
+    else:
+        value = log_likelihood(ctx.y_obs, ctx.predictions(theta), ctx.graph, theta.noise)
+    prior_value, prior_grad = log_prior(theta.values, ctx.prior, ctx.n_regions)
+    value += prior_value
     use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
     if use_jac:
         value += tf.log_jacobian(xhat)
-    return value
-
-
-def log_posterior_and_grad(ctx: ModelContext, xhat, include_jacobian=None):
-    """Value and gradient of the unconstrained log-posterior at xhat."""
-    tf = ctx.transforms
-    xhat = np.asarray(xhat, dtype=float)
-    theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
-    y, y_grad = ctx.predictions_and_grad(theta)
-    value, grad_model, grad_eta = log_likelihood_and_grad(ctx.y_obs, y, y_grad, ctx.graph, theta.noise)
-    grad_constrained = np.concatenate([grad_model.ravel(), grad_eta])
-
-    pv, pg = log_prior(theta.values, ctx.prior, ctx.n_regions)
-    value += pv
-    grad_constrained += pg
-
-    grad = grad_constrained * tf.fprime(xhat)
-    use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
+    if not with_grad:
+        return value
+    grad = (np.concatenate([grad_model.ravel(), grad_eta]) + prior_grad) * tf.fprime(xhat)
     if use_jac:
-        value += tf.log_jacobian(xhat)
         grad += tf.log_jacobian_grad(xhat)
     return value, grad
-

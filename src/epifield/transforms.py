@@ -59,15 +59,15 @@ class TransformSpec:
     uppers: np.ndarray
 
     @classmethod
-    def for_regions(cls, n_regions, eps_theta=EPS_THETA, eps_lambda=EPS_LAMBDA):
+    def for_regions(cls, n_regions):
         """Standard layout [t0, N, k, theta] per region then (tau, lambda, sigma_a, sigma_m)."""
         kinds = np.tile([IDENTITY, EXP, SOFTPLUS, SOFTPLUS], n_regions)
         kinds = np.concatenate([kinds, [EXP, LOGISTIC, EXP, EXP]])
         offsets = np.zeros(kinds.shape)
         offsets[np.arange(n_regions) * 4 + 2] = K_MIN
-        offsets[np.arange(n_regions) * 4 + 3] = eps_theta
+        offsets[np.arange(n_regions) * 4 + 3] = EPS_THETA
         uppers = np.ones(kinds.shape)
-        uppers[4 * n_regions + 1] = 1.0 - eps_lambda
+        uppers[4 * n_regions + 1] = 1.0 - EPS_LAMBDA
         return cls(kinds=kinds, offsets=offsets, uppers=uppers)
 
     @property

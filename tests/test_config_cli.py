@@ -3,6 +3,7 @@ import importlib.resources
 import json
 import shutil
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ def test_raw_fit_refused_without_raw(tmp_path, capsys):
 def test_raw_flag_is_moot_without_smoothing(tmp_path):
     args = _simulate_and_fit(tmp_path, smoothing_window=1)
     assert main(["forecast", *args, "--raw"]) == 0
+
+
+def test_plot_writes_parseable_svgs(tmp_path):
+    args = _simulate_and_fit(tmp_path)
+    assert main(["fit", *args, "--plot"]) == 0
+    assert main(["forecast", *args, "--plot"]) == 0
+    names = ["trace.svg", "fantail_bernalillo.svg", "fantail_sandoval.svg"]
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == sorted(names)
+    for name in names:
+        assert ElementTree.parse(tmp_path / name).getroot().tag.endswith("svg"), name
 
 
 def _npz_arrays(path):

@@ -317,6 +317,16 @@ class TestFitMfvi:
         assert header == "iteration,elbo,grad_norm,seconds,n_samples"
         assert len(path.read_text().splitlines()) == 6
 
+    def test_grad_tol_stops_once_the_smoothed_norm_is_below_it(self):
+        ctx, _ = make_context(n_regions=1, n_days=20, seed=31)
+        mu0 = default_initial_guess(ctx)
+        early = OptimizerConfig(max_iters=40, n_samples=2, seed=5, grad_tol=1e300, smooth_window=5)
+        _, trace = fit_mfvi(ctx, early, mu0=mu0)
+        assert trace.iterations == list(range(5))
+        full = OptimizerConfig(max_iters=12, n_samples=2, seed=5, grad_tol=0.0, smooth_window=5)
+        _, trace = fit_mfvi(ctx, full, mu0=mu0)
+        assert trace.iterations == list(range(12))
+
 
 class TestLoglikGradientCheck:
     def test_random_instance(self):
