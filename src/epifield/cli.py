@@ -11,6 +11,7 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .forecast import (
     write_ensemble_npz,
     write_forecast_csv,
 )
-from .graph import load_region_graph
+from .graph import RegionGraph, load_region_graph
 from .likelihood import NoiseParams
 from .mcmc import AmcmcConfig, run_amcmc, write_chain_summary
 from .model import QuadratureRule, RegionParams
@@ -55,13 +56,13 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="epifield", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("fit", "forecast", "detect", "exceedance", "cluster", "crps", "mcmc", "simulate", "gradcheck"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default="config.json", help="run configuration JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--plot", action="store_true", help="also emit SVG plots")
-        p.add_argument("--raw", action="store_true", help="disable smoothing")
+        p.add_argument("--raw", action="store_true", help="disable smoothing (sets smoothing_window to 1)")
         p.add_argument("--regions", default=None, help="comma-separated region-id subset")
         if name == "simulate":
             p.add_argument("--second-wave", type=float, default=0.0, metavar="AMP",
@@ -75,6 +76,8 @@ def _load_config(args):
         cfg = cfg.with_overrides(seed=args.seed)
     if args.regions:
         cfg = cfg.with_overrides(regions=tuple(args.regions.split(",")))
+    if args.raw:
+        cfg = cfg.with_overrides(smoothing_window=min(cfg.smoothing_window, 1))
     return cfg
 
 
@@ -85,71 +88,58 @@ def _load_graph(cfg):
     return graph
 
 
-def _load_series(cfg, graph, raw=False):
-    data = ingest_cases(cfg.cases_csv, graph)
-    if raw or cfg.smoothing_window <= 1:
-        return data
-    return smooth(data, cfg.smoothing_window)
+class _Inputs(NamedTuple):
+    """A command's inputs, read once: the graph, the raw and the fitted (smoothed) series, the fit window."""
+
+    graph: RegionGraph
+    raw: CaseData
+    series: CaseData
+    ctx: ModelContext
+    window: CaseData
 
 
-def _fit_context(cfg, graph, series):
+def _inputs(cfg):
+    graph = _load_graph(cfg)
+    raw = ingest_cases(cfg.cases_csv, graph)
+    series = smooth(raw, cfg.smoothing_window) if cfg.smoothing_window > 1 else raw
     window = series.window(cfg.fit_start_date, cfg.fit_end_date)
-    day_grid = window.day_offsets(cfg.reference)
-    return ModelContext(
-        graph=graph,
-        day_grid=day_grid,
-        y_obs=window.counts,
-        incubation=cfg.incubation,
-        prior=cfg.prior,
-        quad_nodes=cfg.quad_nodes,
-        include_jacobian=cfg.include_jacobian_entropy,
-    ), window
+    ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.reference), y_obs=window.counts,
+                       incubation=cfg.incubation, prior=cfg.prior, quad_nodes=cfg.quad_nodes,
+                       include_jacobian=cfg.include_jacobian_entropy)
+    return _Inputs(graph, raw, series, ctx, window)
 
 
-def _data_hash(cfg, raw):
-    """Hash of the config's FIT_FIELDS, whether --raw turned smoothing off, and the three input files' bytes."""
+def _data_hash(cfg):
+    """Hash of the config's FIT_FIELDS (smoothing_window among them) and the three input files' bytes."""
     inputs = [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
-    smoothing = b"raw" if raw or cfg.smoothing_window <= 1 else b"smoothed"
-    return content_hash(cfg, smoothing, *inputs, fields=FIT_FIELDS)
+    return content_hash(cfg, *inputs, fields=FIT_FIELDS)
 
 
 def _load_fit(cfg, args):
     """The fitted state and the bytes of the fit.json it came from."""
     fit_bytes = (Path(args.out) / "fit.json").read_bytes()
     doc = json.loads(fit_bytes)
-    if doc["config_hash"] != _data_hash(cfg, args.raw):
-        raise ValueError("fit.json was produced from different fit settings, dataset or --raw setting; re-run fit")
+    if doc["config_hash"] != _data_hash(cfg):
+        raise ValueError("fit.json was produced from different fit settings, smoothing or dataset; re-run fit")
     return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), fit_bytes
 
 
-def _forecast_grid(cfg, series, ctx):
-    """Fit-window day grid extended by the available forecast days."""
-    last = series.dates[-1]
-    n_fc = min(cfg.forecast_days, (last - cfg.fit_end_date).days)
-    extra = ctx.day_grid[-1] + 1 + np.arange(max(n_fc, 0))
-    return np.concatenate([ctx.day_grid, extra]), n_fc
-
-
 def _forecast_observations(cfg, series, n_days):
-    start = cfg.fit_end_date + dt.timedelta(days=1)
-    end = cfg.fit_end_date + dt.timedelta(days=n_days)
-    return series.window(start, end)
+    """The first n_days of series after the fit window."""
+    return series.window(cfg.fit_end_date + dt.timedelta(days=1), cfg.fit_end_date + dt.timedelta(days=n_days))
 
 
 def cmd_fit(args, cfg):
-    graph = _load_graph(cfg)
-    series = _load_series(cfg, graph, raw=args.raw)
-    ctx, _ = _fit_context(cfg, graph, series)
-    state, trace = fit_mfvi(ctx, cfg.optimizer)
+    inputs = _inputs(cfg)
+    state, trace = fit_mfvi(inputs.ctx, cfg.optimizer)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     trace_csv = outdir / "trace.csv"
     trace.write_csv(trace_csv)
     doc = {
         "mu": state.mu.tolist(),
         "rho": state.rho.tolist(),
-        "region_ids": list(graph.region_ids),
-        "config_hash": _data_hash(cfg, args.raw),
+        "region_ids": list(inputs.graph.region_ids),
+        "config_hash": _data_hash(cfg),
         "trace_csv": str(trace_csv),
     }
     (outdir / "fit.json").write_text(json.dumps(doc, indent=2))
@@ -162,73 +152,75 @@ def cmd_fit(args, cfg):
 
 
 def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
-    """Inputs and the posterior-predictive ensemble of a downstream command.
+    """Inputs, posterior-predictive ensemble and forecast length of a downstream command.
 
     The ensemble is read from <out>/ensemble.npz when its key (the config's
     ENSEMBLE_FIELDS and fit.json's bytes) matches, and otherwise drawn and
     written there; `reuse=False` always draws.
     """
-    graph = _load_graph(cfg)
-    series = _load_series(cfg, graph, raw=args.raw)
-    ctx, window = _fit_context(cfg, graph, series)
+    inputs = _inputs(cfg)
     state, fit_bytes = _load_fit(cfg, args)
-    grid, n_fc = _forecast_grid(cfg, series, ctx)
+    # The fit-window day grid extended by the available forecast days.
+    n_fc = min(cfg.forecast_days, (inputs.series.dates[-1] - cfg.fit_end_date).days)
+    fit_grid = inputs.ctx.day_grid
+    grid = np.concatenate([fit_grid, fit_grid[-1] + 1 + np.arange(max(n_fc, 0))])
     if need_forecast and n_fc <= 0:
         raise ValueError("no observations beyond the fit window; cannot forecast/detect")
     path = Path(args.out) / "ensemble.npz"
     key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
     ensemble = read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
-        ensemble = sample_ppt(state, ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
+        ensemble = sample_ppt(state, inputs.ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
         write_ensemble_npz(ensemble, key, path)
-    return graph, series, ctx, window, ensemble, n_fc
+    return inputs, ensemble, n_fc
 
 
 def cmd_forecast(args, cfg):
-    graph, series, ctx, window, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False, reuse=False)
+    inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False, reuse=False)
     outdir = Path(args.out)
     dates = [cfg.reference + dt.timedelta(days=int(d)) for d in ensemble.day_grid]
-    write_forecast_csv(ensemble, graph.region_ids, [d.isoformat() for d in dates], outdir / "forecast.csv")
+    write_forecast_csv(ensemble, inputs.graph.region_ids, [d.isoformat() for d in dates], outdir / "forecast.csv")
     if args.plot:
         bands = ensemble.bands()
-        fit_end_off = float(ctx.day_grid[-1])
-        for r, rid in enumerate(graph.region_ids):
+        window = inputs.window
+        for r, rid in enumerate(inputs.graph.region_ids):
             obs = np.full(ensemble.day_grid.size, np.nan)
             obs[: window.n_days] = window.counts[:, r]
             region_bands = {k: v[:, r] for k, v in bands.items()}
             svg = plots.fantail_svg(ensemble.day_grid, region_bands, observations=obs,
-                                    fit_end=fit_end_off, title=str(rid))
+                                    fit_end=float(inputs.ctx.day_grid[-1]), title=str(rid))
             (outdir / f"fantail_{rid}.svg").write_text(svg)
     print(f"forecast written to {outdir / 'forecast.csv'}")
     return 0
 
 
 def cmd_detect(args, cfg):
-    graph, series, ctx, window, ensemble, n_fc = _ensemble_for(cfg, args)
-    obs_series = _load_series(cfg, graph, raw=True) if cfg.detect_on_raw and not args.raw else series
-    obs = _forecast_observations(cfg, obs_series, n_fc)
-    result = detect(ensemble, obs.counts, forecast_start=window.n_days)
+    inputs, ensemble, n_fc = _ensemble_for(cfg, args)
+    obs = _forecast_observations(cfg, inputs.raw if cfg.detect_on_raw else inputs.series, n_fc)
+    result = detect(ensemble, obs.counts, forecast_start=inputs.window.n_days)
     outdir = Path(args.out)
-    write_alarms_csv(result, graph.region_ids, [d.isoformat() for d in obs.dates], outdir / "alarms.csv")
+    write_alarms_csv(result, inputs.graph.region_ids, [d.isoformat() for d in obs.dates], outdir / "alarms.csv")
     print(f"{len(result.alarms)} alarm(s) written to {outdir / 'alarms.csv'}")
     return 0
 
 
-def cmd_exceedance(args, cfg):
-    graph, series, ctx, window, ensemble, n_fc = _ensemble_for(cfg, args)
+def _exceedance_map(cfg, args):
+    """The graph and the exceedance map over the first n_smooth forecast days."""
+    inputs, ensemble, n_fc = _ensemble_for(cfg, args)
     n_smooth = min(cfg.n_smooth, n_fc)
-    obs = _forecast_observations(cfg, series, n_smooth)
-    emap = exceedance(ensemble, obs.counts, start=window.n_days, n_smooth=n_smooth)
+    obs = _forecast_observations(cfg, inputs.series, n_smooth)
+    return inputs.graph, exceedance(ensemble, obs.counts, start=inputs.window.n_days, n_smooth=n_smooth)
+
+
+def cmd_exceedance(args, cfg):
+    graph, emap = _exceedance_map(cfg, args)
     write_exceedance_csv(emap, graph.region_ids, Path(args.out) / "exceedance.csv")
     print(f"exceedance written to {Path(args.out) / 'exceedance.csv'}")
     return 0
 
 
 def cmd_cluster(args, cfg):
-    graph, series, ctx, window, ensemble, n_fc = _ensemble_for(cfg, args)
-    n_smooth = min(cfg.n_smooth, n_fc)
-    obs = _forecast_observations(cfg, series, n_smooth)
-    emap = exceedance(ensemble, obs.counts, start=window.n_days, n_smooth=n_smooth)
+    graph, emap = _exceedance_map(cfg, args)
     features = np.column_stack([graph.centroids, emap.mean_exceedance])
     labels, merges = cluster_regions(
         features, cut=cfg.cluster_cut, linkage=cfg.cluster_linkage, cut_mode=cfg.cluster_cut_mode
@@ -240,26 +232,23 @@ def cmd_cluster(args, cfg):
 
 
 def cmd_crps(args, cfg):
-    graph, series, ctx, window, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False)
-    scored = window.counts
-    if cfg.crps_on_raw:
-        raw = _load_series(cfg, graph, raw=True).window(cfg.fit_start_date, cfg.fit_end_date)
-        scored = raw.counts
-    c, C = crps(ensemble, scored, day_slice=slice(0, window.n_days))
+    inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False)
+    window = inputs.window
+    scored = inputs.raw.window(cfg.fit_start_date, cfg.fit_end_date) if cfg.crps_on_raw else window
+    c, C = crps(ensemble, scored.counts, day_slice=slice(0, window.n_days))
     T = window.counts.sum(axis=0)
     fit = crps_ratio_and_fit(C, T)
-    write_crps_csv(graph.region_ids, C, T, fit["rho"], Path(args.out) / "crps.csv")
+    write_crps_csv(inputs.graph.region_ids, C, T, fit["rho"], Path(args.out) / "crps.csv")
     print(f"crps written; log-rho vs log-T slope {fit['slope']:.3f}, intercept {fit['intercept']:.3f}")
     return 0
 
 
 def cmd_mcmc(args, cfg):
-    graph = _load_graph(cfg)
-    series = _load_series(cfg, graph, raw=args.raw)
-    ctx, _ = _fit_context(cfg, graph, series)
-    x0, _ = mle_fit(ctx, cfg.optimizer)
-    chain = run_amcmc(ctx, x0, AmcmcConfig(n_total=cfg.mcmc_draws, seed=cfg.seed))
-    write_chain_summary(chain, Path(args.out) / "chain_summary.csv", names=param_names(graph.n_regions))
+    chain_config = AmcmcConfig(n_total=cfg.mcmc_draws, seed=cfg.seed)
+    inputs = _inputs(cfg)
+    x0, _ = mle_fit(inputs.ctx, cfg.optimizer)
+    chain = run_amcmc(inputs.ctx, x0, chain_config)
+    write_chain_summary(chain, Path(args.out) / "chain_summary.csv", names=param_names(inputs.graph.n_regions))
     print(f"chain summary written; acceptance rate {chain.acceptance_rate:.3f}")
     return 0
 
@@ -285,7 +274,6 @@ def cmd_simulate(args, cfg):
         data = CaseData(dates=data.dates, counts=data.counts + wave_counts, region_ids=data.region_ids)
         second_wave = {"amplitude": args.second_wave, "t0": float(end_off), "k": 2.0, "theta": 3.0}
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_cases_csv(data, outdir / "cases.csv")
     truth_doc = {
         "values": truth.values.tolist(),
@@ -299,9 +287,7 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_gradcheck(args, cfg):
-    graph = _load_graph(cfg)
-    series = _load_series(cfg, graph, raw=args.raw)
-    ctx, _ = _fit_context(cfg, graph, series)
+    ctx = _inputs(cfg).ctx
     rng = np.random.default_rng(cfg.seed)
     xhat = default_initial_guess(ctx) + 0.05 * rng.standard_normal(ctx.dim)
     loglik_err = checks.loglik_gradient_max_relerr(ctx, xhat)

@@ -12,6 +12,10 @@ from .transforms import PriorSpec
 from .vi import OptimizerConfig
 
 
+# The RunConfig fields that make up its OptimizerConfig.
+OPTIMIZER_FIELDS = ("step_size", "beta1", "beta2", "eps_adam", "max_iters", "n_samples", "grad_tol", "seed")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # Inputs
@@ -29,17 +33,17 @@ class RunConfig:
     quad_nodes: int = DEFAULT_QUAD_NODES
     incubation_mu: float = DEFAULT_INCUBATION_MU
     incubation_sigma: float = DEFAULT_INCUBATION_SIGMA
-    prior_t0_mean: float = -10.0
-    prior_t0_sd: float = 30.0
+    prior_t0_mean: float = PriorSpec.t0_mean
+    prior_t0_sd: float = PriorSpec.t0_sd
     # Optimizer
-    step_size: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    max_iters: int = 5000
-    n_samples: int = 200
-    grad_tol: float = 0.0
-    seed: int = 0
+    step_size: float = OptimizerConfig.step_size
+    beta1: float = OptimizerConfig.beta1
+    beta2: float = OptimizerConfig.beta2
+    eps_adam: float = OptimizerConfig.eps_adam
+    max_iters: int = OptimizerConfig.max_iters
+    n_samples: int = OptimizerConfig.n_samples
+    grad_tol: float = OptimizerConfig.grad_tol
+    seed: int = OptimizerConfig.seed
     # Prediction / surveillance
     ppt_samples: int = 100
     n_smooth: int = 14
@@ -80,16 +84,7 @@ class RunConfig:
 
     @property
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            step_size=self.step_size,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps_adam=self.eps_adam,
-            max_iters=self.max_iters,
-            n_samples=self.n_samples,
-            grad_tol=self.grad_tol,
-            seed=self.seed,
-        )
+        return OptimizerConfig(**{name: getattr(self, name) for name in OPTIMIZER_FIELDS})
 
     def to_json(self, fields=None):
         """The config as JSON; `fields` keeps only those keys."""
@@ -102,8 +97,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         if "regions" in doc:
@@ -127,7 +121,7 @@ FIT_FIELDS = (
     "smoothing_window",
     "quad_nodes", "incubation_mu", "incubation_sigma", "prior_t0_mean", "prior_t0_sd",
     "include_jacobian_entropy",
-    "step_size", "beta1", "beta2", "eps_adam", "max_iters", "n_samples", "grad_tol", "seed",
+    *OPTIMIZER_FIELDS,
     "regions",
 )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +65,8 @@ def ingest_cases(path, graph: RegionGraph):
     """Read a date,region_id,count CSV into graph region order.
 
     Missing (date, region) cells are filled with zero (a warning reports
-    how many); duplicates and unknown regions are errors.  Counts must be
-    daily new cases, not cumulative.
+    how many); duplicates, unknown regions and negative or non-finite
+    counts are errors.  Counts must be daily new cases, not cumulative.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -73,6 +74,9 @@ def ingest_cases(path, graph: RegionGraph):
         for row in reader:
             date = dt.date.fromisoformat(row["date"])
             count = float(row["count"])
+            if not math.isfinite(count):
+                raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} "
+                                 f"(line {reader.line_num} of {path})")
             if count < 0:
                 raise ValueError(f"negative count for {row['region_id']} on {date}")
             rows.append((date, row["region_id"], count))

@@ -17,6 +17,8 @@ from .posterior import ModelContext
 from .vi import VariationalState
 
 PERCENTILES = (5, 25, 50, 75, 95)
+# Draws in a row whose covariance may fail to factor before sample_ppt gives up.
+MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -51,23 +53,22 @@ class ForecastEnsemble:
         return np.percentile(self.samples, q, axis=0)
 
 
-def _draw_unconstrained(source, n, rng):
+def _draw_unconstrained(source, rng):
+    """One unconstrained posterior sample from a variational state or an MCMC chain."""
     if isinstance(source, VariationalState):
-        eps = rng.standard_normal((n, source.dim))
-        return source.mu[None, :] + source.sigma[None, :] * eps
+        return source.mu + source.sigma * rng.standard_normal(source.dim)
     if isinstance(source, ChainState):
-        idx = rng.integers(0, source.samples.shape[0], size=n)
-        return source.samples[idx]
+        return source.samples[rng.integers(0, source.samples.shape[0])]
     raise TypeError(f"cannot draw posterior samples from {type(source).__name__}")
 
 
-def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0, max_retries=10):
+def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     """Posterior predictive test ensemble over day_grid.
 
     Each draw maps a posterior sample to constrained parameters, computes
     the daily predictions, and adds day-wise noise correlated across
     regions through the fitted covariance.  Draws whose covariance fails
-    to factor are resampled, up to max_retries in a row.
+    to factor are resampled, up to MAX_RETRIES in a row.
     """
     if n_samples < 2:
         raise ValueError("at least 2 ensemble members required")
@@ -79,14 +80,14 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0, max_r
     j = 0
     retries = 0
     while j < n_samples:
-        xhat = _draw_unconstrained(source, 1, rng)[0]
+        xhat = _draw_unconstrained(source, rng)
         try:
             theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
             y = ctx.predictions(theta, day_grid=day_grid)
             noise = correlated_noise(ctx.graph, theta.noise, y, rng)
         except (ValueError, np.linalg.LinAlgError):
             retries += 1
-            if retries > max_retries:
+            if retries > MAX_RETRIES:
                 raise np.linalg.LinAlgError(f"covariance factorization failed {retries} times in a row")
             continue
         retries = 0

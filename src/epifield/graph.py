@@ -25,6 +25,9 @@ class RegionGraph:
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
         R = len(self.region_ids)
+        if len(set(self.region_ids)) != R:
+            duplicates = sorted({str(r) for r in self.region_ids if self.region_ids.count(r) > 1})
+            raise ValueError(f"duplicate region ids: {', '.join(duplicates)}")
         if W.shape != (R, R):
             raise ValueError(f"adjacency must be {R}x{R}, got {W.shape}")
         if not np.array_equal(W, W.T):
@@ -51,6 +54,9 @@ class RegionGraph:
 
     def subgraph(self, region_ids):
         """Induced subgraph preserving the requested ordering."""
+        unknown = [str(r) for r in region_ids if r not in self.region_ids]
+        if unknown:
+            raise ValueError(f"unknown region ids: {', '.join(unknown)}")
         idx = np.array([self.index_of(r) for r in region_ids])
         return RegionGraph(
             region_ids=tuple(region_ids),

@@ -27,6 +27,14 @@ class AmcmcConfig:
     seed: int = 0
     ridge: float = 1e-8
 
+    def __post_init__(self):
+        if self.thin < 1:
+            raise ValueError("thin must be at least 1")
+        kept = (self.n_total - self.effective_burn_in) // self.thin
+        if kept < 2:
+            raise ValueError(f"{self.n_total} draws with burn-in {self.effective_burn_in} and thin {self.thin} "
+                             f"keep {max(kept, 0)}; at least 2 are needed")
+
     @property
     def effective_burn_in(self):
         return self.n_total // 2 if self.burn_in is None else self.burn_in

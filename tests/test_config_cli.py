@@ -14,6 +14,7 @@ from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
 from epifield.config import ENSEMBLE_FIELDS, FIT_FIELDS
 from epifield.forecast import write_ensemble_npz
+from epifield.params import param_names
 
 
 class TestRunConfig:
@@ -222,6 +223,12 @@ class TestCliErrors:
         assert "numerical failure" in capsys.readouterr().err
         assert "LinAlgError" in (tmp_path / "diagnostics.txt").read_text()
 
+    def test_unknown_region_override_is_data_error(self, pipeline, tmp_path, capsys):
+        _, cfg_path, _ = pipeline
+        argv = ["fit", "--config", str(cfg_path), "--out", str(tmp_path), "--regions", "bernalillo,nosuch"]
+        assert main(argv) == 2
+        assert "unknown region ids: nosuch" in capsys.readouterr().err
+
     def test_seed_override(self, pipeline, tmp_path):
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline
@@ -274,6 +281,44 @@ def test_raw_fit_refused_without_raw(tmp_path, capsys):
 def test_raw_flag_is_moot_without_smoothing(tmp_path):
     args = _simulate_and_fit(tmp_path, smoothing_window=1)
     assert main(["forecast", *args, "--raw"]) == 0
+
+
+def test_raw_is_smoothing_window_one(tmp_path):
+    # A fit of unsmoothed counts serves either way of asking for them.
+    args = _simulate_and_fit(tmp_path, smoothing_window=1)
+    smoothed_cfg = _edited_config(Path(args[1]), tmp_path, smoothing_window=7)
+    assert main(["forecast", "--config", str(smoothed_cfg), "--out", str(tmp_path), "--raw"]) == 0
+    assert main(["fit", "--config", str(smoothed_cfg), "--out", str(tmp_path), "--raw"]) == 0
+    assert main(["forecast", *args]) == 0
+
+
+@pytest.mark.parametrize("command, key", [("detect", "detect_on_raw"), ("crps", "crps_on_raw")])
+def test_raw_scoring_reads_the_cases_once(tmp_path, monkeypatch, command, key):
+    args = _simulate_and_fit(tmp_path, **{key: True})
+    calls = []
+    real = epifield.cli.ingest_cases
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(epifield.cli, "ingest_cases", counting)
+    assert main([command, *args]) == 0
+    assert len(calls) == 1
+
+
+def test_mcmc_summarises_every_parameter(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path, mcmc_draws=40)
+    assert main(["mcmc", *args]) == 0
+    with open(tmp_path / "chain_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["parameter"] for r in rows] == param_names(2)
+    assert all(np.isfinite(float(r[k])) for r in rows for k in ("mean", "sd", "q05", "q50", "q95"))
+    # 10 draws keep none after burn-in and thinning; this used to escape main as an IndexError.
+    too_few = _edited_config(Path(args[1]), tmp_path, mcmc_draws=10)
+    capsys.readouterr()
+    assert main(["mcmc", "--config", str(too_few), "--out", str(tmp_path)]) == 2
+    assert "at least 2 are needed" in capsys.readouterr().err
 
 
 def test_plot_writes_parseable_svgs(tmp_path):

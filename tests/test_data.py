@@ -76,6 +76,21 @@ class TestIngest:
         with pytest.raises(ValueError, match="negative count"):
             ingest_cases(p, GRAPH2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_count_error(self, tmp_path, bad):
+        # Before the check a nan row read as an unfilled cell: a second row for
+        # the same cell passed the duplicate check and a lone nan was zero-filled.
+        p = tmp_path / "cases.csv"
+        write_rows(p, [("2020-06-01", "a", 1), ("2020-06-01", "b", bad), ("2020-06-01", "b", 2)])
+        with pytest.raises(ValueError, match=rf"non-finite count '{bad}' for b on 2020-06-01 \(line 3 of "):
+            ingest_cases(p, GRAPH2)
+
+    def test_lone_nan_is_not_a_missing_cell(self, tmp_path):
+        p = tmp_path / "cases.csv"
+        write_rows(p, [("2020-06-01", "a", 1), ("2020-06-01", "b", "nan")])
+        with pytest.raises(ValueError, match="non-finite count"):
+            ingest_cases(p, GRAPH2)
+
     def test_roundtrip_through_writer(self, tmp_path):
         dates = tuple(dt.date(2020, 6, 1) + dt.timedelta(days=i) for i in range(4))
         data = CaseData(dates=dates, counts=np.arange(8.0).reshape(4, 2), region_ids=("a", "b"))

@@ -9,6 +9,8 @@ from epifield import (
     crps_samples,
     sample_ppt,
 )
+from epifield.forecast import _draw_unconstrained
+from epifield.mcmc import ChainState
 from epifield.vi import default_initial_guess, mle_fit
 
 from conftest import make_context
@@ -151,6 +153,19 @@ class TestSamplePpt:
         e2 = sample_ppt(state, ctx, grid, n_samples=30, seed=9)
         assert e1.samples.shape == (30, 19, 2)
         assert np.array_equal(e1.samples, e2.samples)
+
+    def test_single_draws_match_the_batched_form(self):
+        # The draws of the former (1, d)-batch form, kept here as the oracle.
+        rng = np.random.default_rng(6)
+        state = VariationalState(mu=rng.standard_normal(12), rho=rng.standard_normal(12))
+        chain = ChainState(samples=rng.standard_normal((7, 12)), log_posts=np.zeros(7), acceptance_rate=0.3,
+                           proposal_cov=np.eye(12))
+        new, old = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            eps = old.standard_normal((1, state.dim))
+            assert np.array_equal(_draw_unconstrained(state, new), (state.mu[None, :] + state.sigma[None, :] * eps)[0])
+            idx = old.integers(0, chain.samples.shape[0], size=1)
+            assert np.array_equal(_draw_unconstrained(chain, new), chain.samples[idx][0])
 
     def test_requires_two_members(self):
         ctx, _ = make_context(n_regions=1, n_days=10, seed=53)

@@ -82,6 +82,24 @@ class TestGraph:
         assert sub.region_ids == ("c", "b")
         assert sub.W[0, 1] == 1.0
 
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(ValueError, match="duplicate region ids: a$"):
+            RegionGraph(region_ids=("a", "b", "a"), W=np.zeros((3, 3)))
+
+    def test_regions_csv_listing_an_id_twice_is_refused(self, tmp_path):
+        # Before the check this loaded as ('a', 'b', 'a') with the first 'a' isolated.
+        regions = tmp_path / "regions.csv"
+        regions.write_text("region_id,name,lat,lon,population\n"
+                           "a,A,35.0,-106.0,100\nb,B,35.5,-106.5,200\na,A2,36.0,-107.0,300\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("region_a,region_b\na,b\n")
+        with pytest.raises(ValueError, match="duplicate region ids: a$"):
+            load_region_graph(regions, edges)
+
+    def test_subgraph_names_unknown_ids(self):
+        with pytest.raises(ValueError, match="unknown region ids: zz, yy$"):
+            path_graph(("a", "b", "c")).subgraph(("b", "zz", "yy"))
+
     def test_bundled_county_graph_loads(self):
         g = _county_graph()
         assert g.n_regions == 33

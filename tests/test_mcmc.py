@@ -55,6 +55,18 @@ class TestRunAmcmc:
         assert cfg.effective_burn_in == 500
         assert AmcmcConfig(n_total=1000, burn_in=100).effective_burn_in == 100
 
+    @pytest.mark.parametrize("kwargs", [{"n_total": 10}, {"n_total": 20}, {"n_total": 1000, "burn_in": 990},
+                                        {"n_total": 100, "burn_in": 200}, {"n_total": 100, "thin": 0}])
+    def test_budget_keeping_fewer_than_two_draws_is_refused(self, kwargs):
+        # n_total=10 used to fail with an IndexError; n_total=20 kept one draw and reported nan sds.
+        with pytest.raises(ValueError, match="keep|thin"):
+            AmcmcConfig(**kwargs)
+
+    def test_smallest_budget_keeps_two_draws(self):
+        chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=40, seed=5))
+        assert chain.samples.shape == (2, 2)
+        assert np.all(np.isfinite(chain.samples.std(axis=0, ddof=1)))
+
 
 class TestComparison:
     def test_mean_gap_small_on_shared_gaussian_target(self):
