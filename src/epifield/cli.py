@@ -77,7 +77,7 @@ def _load_config(args):
     if args.regions:
         cfg = cfg.with_overrides(regions=tuple(args.regions.split(",")))
     if args.raw:
-        cfg = cfg.with_overrides(smoothing_window=min(cfg.smoothing_window, 1))
+        cfg = cfg.with_overrides(smoothing_window=1)
     return cfg
 
 

@@ -61,6 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if self.fit_start_date >= self.fit_end_date:
             raise ValueError("fit_start must precede fit_end")
+        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+            raise ValueError(f"smoothing_window must be an odd number >= 1, got {self.smoothing_window}")
 
     @property
     def reference(self) -> dt.date:

@@ -3,7 +3,12 @@
 A Gamma-shaped infection-rate pulse convolved against a lognormal
 incubation CDF gives the expected number of people turning symptomatic
 each day.  The convolution and its parameter derivatives are evaluated by
-Gauss-Legendre quadrature mapped onto [t0, t_i] for each day.
+Gauss-Legendre quadrature mapped onto [t0, t_i] for each day.  The mapped
+rule is separable: with d_i = t_i - t0 and unit nodes c_j = (x_j + 1)/2,
+node j of day i lies c_j d_i after onset and d_i (1 - c_j) before t_i, so
+the log of the Gamma rate is a per-day term plus per-node terms, one exp
+per node gives the rate, and the parameter partials reduce to mat-vecs of
+the same node products against node-weight vectors (see `_convolve`).
 
 The incubation window G(r) = F_inc(r) - F_inc(r - 1) depends only on the
 incubation parameters, so it is tabulated once per `IncubationParams` (from
@@ -15,7 +20,7 @@ differentiates that interpolant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import digamma, erfc, gammaln
@@ -86,6 +91,14 @@ class QuadratureRule:
         nodes, weights = _leggauss(n)
         return cls(nodes=nodes, weights=weights)
 
+    @cached_property
+    def _node_terms(self):
+        """(c, 1 - c, log c, [w log c, w c], w (1 - c)) with c = (x + 1)/2 in (0, 1):
+        the factors of `_convolve` that depend on the nodes alone."""
+        c = 0.5 * (self.nodes + 1.0)
+        w = self.weights
+        return c, 1.0 - c, np.log(c), np.column_stack([w * np.log(c), w * c]), w * (1.0 - c)
+
 
 def _gamma_rate(t, p: RegionParams):
     """(u, log u, f) at time t: u = t - t0, set to 1 where f is zero (t <= t0)."""
@@ -149,18 +162,17 @@ def incubation_pdf(t, inc: IncubationParams):
 
 
 def _day_quadrature(p: RegionParams, day_grid, quad: QuadratureRule):
-    """Each day's rule on [t0, t_i] as (tau, half, c, active).
+    """Each day's interval length and the unit nodes, as (d, c, active).
 
-    Nodes tau[i, j] = t0 + c_j (t_i - t0), weights half[i] * quad.weights, so
-    a node sum is half * (X @ quad.weights).  Inactive days get [t0, t0 + 1].
+    Day i's rule on [t0, t_i] has nodes t0 + c_j d_i, with d_i = t_i - t0 and
+    c_j = (x_j + 1)/2, and weights d_i w_j / 2.  Inactive days (t_i <= t0)
+    get d_i = 1.
     """
     day_grid = np.asarray(day_grid, dtype=float)
-    if day_grid.ndim != 1 or np.any(np.diff(day_grid) <= 0):
+    if day_grid.ndim != 1 or np.any(day_grid[1:] <= day_grid[:-1]):
         raise ValueError("day_grid must be a strictly increasing 1-D array")
     active = day_grid > p.t0
-    half = 0.5 * (np.where(active, day_grid, p.t0 + 1.0) - p.t0)
-    tau = p.t0 + half[:, None] * (quad.nodes + 1.0)  # (N_d, n)
-    return tau, half, 0.5 * (quad.nodes + 1.0), active
+    return np.where(active, day_grid - p.t0, 1.0), quad._node_terms[0], active
 
 
 @lru_cache(maxsize=8)
@@ -200,15 +212,14 @@ def _window_table(inc: IncubationParams):
     return coef
 
 
-def _incubation_window(tau, day_grid, inc: IncubationParams, with_grad):
-    """(G, dG/dr) at r = t_i - tau; dG/dr is None unless with_grad.
+def _incubation_window(r, inc: IncubationParams, with_grad):
+    """(G, dG/dr) at r; dG/dr is None unless with_grad.
 
     Both come from the cubic in `_window_table`; r <= 0 (G(0) = G'(0) = 0)
     and r >= r_max land on exact zeros.
     """
     coef = _window_table(inc)
-    x = np.asarray(day_grid, dtype=float)[:, None] - tau
-    x *= _WINDOW_CELLS_PER_DAY
+    x = np.asarray(r, dtype=float) * _WINDOW_CELLS_PER_DAY
     np.fmax(x, 0.0, out=x)  # fmax/fmin, unlike clip, also send NaN to the zero at r = 0
     np.fmin(x, coef.shape[1] - 1, out=x)
     cell = x.astype(np.intp)
@@ -233,29 +244,48 @@ def _incubation_window(tau, day_grid, inc: IncubationParams, with_grad):
 def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad):
     """The daily convolution y, and with_grad its partials: y or (y, grad).
 
+    The kernel is separable in day and node.  Node j of day i sits at
+    offset u_ij = c_j d_i after onset and window argument r_ij = d_i (1 - c_j)
+    (`_day_quadrature`).  r = 0 on inactive days, where G(0) = G'(0) = 0, so
+    their y and partials come out as exact zeros.  The log of the rate is
+
+        log f_ij = alpha_i + (k - 1) log c_j - (d_i / theta) c_j,
+        alpha_i = -k log theta - lgamma(k) + (k - 1) log d_i,
+
+    which costs one exp per node.  With F = f G and s = F @ w the prediction is
+    y = N (d/2) s.  The gradient needs one more product, f G', and mat-vecs
+    of F and f G' against node-weight vectors: the rate partials are f times
+    terms linear in log c_j or c_j.  alpha stays inside the exp because
+    exp(alpha) alone overflows at large k log d where f does not.
+
     The window G and dG/dr come from the tabulated cubic (`_incubation_window`),
     so the partials are exact derivatives of the interpolated model.
     """
-    day_grid = np.asarray(day_grid, dtype=float)
-    tau, half, c, active = _day_quadrature(p, day_grid, quad)
-    u, log_u, f = _gamma_rate(tau, p)
-    window, dwindow_dr = _incubation_window(tau, day_grid, inc, with_grad)
-    w = quad.weights
-    s = (f * window) @ w
-    y = np.where(active, np.maximum(p.N * half * s, 0.0), 0.0)
+    d, c, active = _day_quadrature(p, day_grid, quad)
+    _, one_minus_c, log_c, w_logc_c, w_one_minus_c = quad._node_terms
+    k, theta, w = p.k, p.theta, quad.weights
+    log_d = np.log(d)
+    f = np.multiply.outer(d / -theta, c)
+    f += (k - 1.0) * log_c
+    f += ((k - 1.0) * log_d - k * np.log(theta) - gammaln(k))[:, None]
+    np.exp(f, out=f)
+    F, dwindow_dr = _incubation_window(np.multiply.outer(d * active, one_minus_c), inc, with_grad)
+    F *= f
+    s = F @ w
+    half = 0.5 * d
+    y = np.maximum(p.N * half * s, 0.0)
     if not with_grad:
         return y
 
-    df_dt0, df_dk, df_dtheta = _gamma_partials(u, log_u, f, p)
-    grad = np.empty((day_grid.size, 4))
-    # With t0 the half-width moves by -1/2 and the nodes by dtau/dt0 = 1 - c;
-    # the rate f(tau - t0) then moves by df/dtau (1 - c) + df/dt0 = c df/dt0,
-    # and the window G(t_i - tau) by -dG/dr (1 - c).
-    grad[:, 0] = p.N * (half * ((c * df_dt0 * window - (1.0 - c) * f * dwindow_dr) @ w) - 0.5 * s)
+    s_logc, s_c = (F @ w_logc_c).T
+    f *= dwindow_dr
+    grad = np.empty((d.size, 4))
+    # dy/dt0 = -dy/dd for y = N (d/2) sum_j w_j f(c_j d) G(d (1 - c_j)),
+    # where c f'(c d) = f ((k - 1)/d - c/theta).
+    grad[:, 0] = p.N * (half * (s_c / theta - (k - 1.0) / d * s - f @ w_one_minus_c) - 0.5 * s)
     grad[:, 1] = half * s
-    grad[:, 2] = p.N * half * ((df_dk * window) @ w)
-    grad[:, 3] = p.N * half * ((df_dtheta * window) @ w)
-    grad[~active] = 0.0
+    grad[:, 2] = p.N * half * (s_logc + (log_d - np.log(theta) - digamma(k)) * s)
+    grad[:, 3] = p.N * half * (d / theta**2 * s_c - k / theta * s)
     return y, grad
 
 

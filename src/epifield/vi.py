@@ -81,6 +81,12 @@ class OptimizerConfig:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not self.step_size > 0.0:
+            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if self.smooth_window < 1:
+            raise ValueError(f"smooth_window must be at least 1, got {self.smooth_window}")
 
 
 @dataclass

@@ -229,6 +229,15 @@ class TestCliErrors:
         assert main(argv) == 2
         assert "unknown region ids: nosuch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [{"smoothing_window": 0}, {"smoothing_window": -3},
+                                      {"smoothing_window": 4}, {"max_iters": 0}])
+    def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
+        _, cfg_path, _ = pipeline
+        edited = _edited_config(cfg_path, tmp_path, **edit)
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert next(iter(edit)) in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_seed_override(self, pipeline, tmp_path):
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline

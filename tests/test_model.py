@@ -15,7 +15,15 @@ from epifield import (
     predict_daily_grad,
 )
 from epifield import model
-from epifield.model import _day_quadrature, _incubation_window, _window_table, incubation_pdf, infection_rate_grad
+from epifield.model import (
+    _day_quadrature,
+    _gamma_partials,
+    _gamma_rate,
+    _incubation_window,
+    _window_table,
+    incubation_pdf,
+    infection_rate_grad,
+)
 
 QUAD = QuadratureRule.gauss_legendre(64)
 
@@ -120,7 +128,8 @@ class TestQuadrature:
     def test_weights_sum_to_interval(self):
         p = RegionParams(t0=-3.0, N=1.0, k=3.0, theta=5.0)
         grid = np.array([-1.0, 4.0, 11.0])
-        _, half, _, active = _day_quadrature(p, grid, QUAD)
+        d, _, active = _day_quadrature(p, grid, QUAD)
+        half = 0.5 * d
         assert active.all()
         assert np.allclose(half * QUAD.weights.sum(), grid - p.t0, rtol=1e-12)
 
@@ -129,7 +138,9 @@ class TestQuadrature:
         quad = QuadratureRule.gauss_legendre(16)
         p = RegionParams(t0=0.0, N=1.0, k=3.0, theta=5.0)
         grid = np.array([0.5, 2.0, 7.0])
-        tau, half, c, _ = _day_quadrature(p, grid, quad)
+        d, c, _ = _day_quadrature(p, grid, quad)
+        half = 0.5 * d
+        tau = p.t0 + half[:, None] * (quad.nodes + 1.0)
         assert np.allclose(tau, p.t0 + 2.0 * half[:, None] * c, rtol=1e-14)
         val = half * (tau**7 @ quad.weights)
         assert np.allclose(val, grid**8 / 8.0, rtol=1e-12)
@@ -257,7 +268,7 @@ def _complement_window(tau, day_grid, inc):
 
 def _table_window(tau, day_grid, inc):
     """The model's tabulated window, so that the reference kernels pin the convolution algebra."""
-    return _incubation_window(tau, day_grid, inc, with_grad=True)
+    return _incubation_window(np.asarray(day_grid, dtype=float)[:, None] - tau, inc, with_grad=True)
 
 
 def reference_predict_daily(p, inc, day_grid, quad, window=_table_window):
@@ -295,6 +306,67 @@ def reference_predict_daily_grad(p, inc, day_grid, quad, window=_table_window):
     return np.where(active, np.maximum(y, 0.0), 0.0), grad
 
 
+def _tau_day_quadrature(p, day_grid, quad):
+    """Each day's rule on [t0, t_i] as (tau, half, c, active), the nodes as explicit times."""
+    day_grid = np.asarray(day_grid, dtype=float)
+    active = day_grid > p.t0
+    half = 0.5 * (np.where(active, day_grid, p.t0 + 1.0) - p.t0)
+    tau = p.t0 + half[:, None] * (quad.nodes + 1.0)  # (N_d, n)
+    return tau, half, 0.5 * (quad.nodes + 1.0), active
+
+
+def _tau_incubation_window(tau, day_grid, inc, with_grad):
+    """(G, dG/dr) at r = t_i - tau from the model's window table, by the same cubic."""
+    coef = _window_table(inc)
+    x = np.asarray(day_grid, dtype=float)[:, None] - tau
+    x *= 32.0
+    np.fmax(x, 0.0, out=x)
+    np.fmin(x, coef.shape[1] - 1, out=x)
+    cell = x.astype(np.intp)
+    x -= cell
+    a3, a2, a1 = coef[3].take(cell), coef[2].take(cell), coef[1].take(cell)
+    g = a3 * x
+    g += a2
+    g *= x
+    g += a1
+    g *= x
+    g += coef[0].take(cell)
+    if not with_grad:
+        return g, None
+    a3 *= 3.0 * x
+    a3 += 2.0 * a2
+    a3 *= x
+    a3 += a1
+    a3 *= 32.0
+    return g, a3
+
+
+def tau_convolve(p, inc, day_grid, quad, with_grad):
+    """The shared kernel that the separable `_convolve` replaced, kept as its oracle.
+
+    It evaluates the rate at explicit node times tau (a log, an exp and two
+    wheres per node) and forms the three rate partials as (N_d, n) arrays.
+    """
+    day_grid = np.asarray(day_grid, dtype=float)
+    tau, half, c, active = _tau_day_quadrature(p, day_grid, quad)
+    u, log_u, f = _gamma_rate(tau, p)
+    window, dwindow_dr = _tau_incubation_window(tau, day_grid, inc, with_grad)
+    w = quad.weights
+    s = (f * window) @ w
+    y = np.where(active, np.maximum(p.N * half * s, 0.0), 0.0)
+    if not with_grad:
+        return y
+
+    df_dt0, df_dk, df_dtheta = _gamma_partials(u, log_u, f, p)
+    grad = np.empty((day_grid.size, 4))
+    grad[:, 0] = p.N * (half * ((c * df_dt0 * window - (1.0 - c) * f * dwindow_dr) @ w) - 0.5 * s)
+    grad[:, 1] = half * s
+    grad[:, 2] = p.N * half * ((df_dk * window) @ w)
+    grad[:, 3] = p.N * half * ((df_dtheta * window) @ w)
+    grad[~active] = 0.0
+    return y, grad
+
+
 class TestKernelMatchesReference:
     """The shared value/gradient kernel against the two kernels it replaced."""
 
@@ -325,8 +397,26 @@ class TestKernelMatchesReference:
 
     def test_value_is_the_gradient_paths_y(self):
         inc = IncubationParams()
-        for grid, p in self._cases():
+        for grid, p in [*self._cases(), *self._long_cases()]:
             assert np.array_equal(predict_daily(p, inc, grid, QUAD), predict_daily_grad(p, inc, grid, QUAD)[0])
+
+    @staticmethod
+    def _long_cases():
+        """107-day grids with t0 from 60 days before them to 40 days in, and at the MLE box edge."""
+        rng = np.random.default_rng(21)
+        grid = np.arange(1.0, 108.0)
+        for t0 in [*rng.uniform(-60.0, 40.0, 30), grid[0] - 120.0, grid[0] - 120.0]:
+            yield grid, RegionParams(t0=t0, N=rng.uniform(10.0, 5000.0),
+                                     k=rng.uniform(2.0, 8.0), theta=rng.uniform(0.5, 20.0))
+
+    def test_matches_the_tau_kernel(self):
+        inc = IncubationParams()
+        for grid, p in [*self._cases(), *self._long_cases()]:
+            y_ref, g_ref = tau_convolve(p, inc, grid, QUAD, with_grad=True)
+            assert np.array_equal(tau_convolve(p, inc, grid, QUAD, with_grad=False), y_ref)
+            y, g = predict_daily_grad(p, inc, grid, QUAD)
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0.0)
+            assert np.all(np.abs(g - g_ref) <= 1e-12 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0))), p
 
 
 def _table_end(inc):
@@ -354,7 +444,7 @@ class TestWindowTable:
 
     @staticmethod
     def _window_at(r, inc):
-        return _incubation_window(-np.asarray(r, dtype=float)[None, :], np.zeros(1), inc, with_grad=True)
+        return _incubation_window(np.asarray(r, dtype=float)[None, :], inc, with_grad=True)
 
     def test_matches_cdf_and_pdf(self):
         for inc, (g_bound, dg_bound) in zip(self.INCUBATIONS, self.BOUNDS):

@@ -175,6 +175,9 @@ class TestAdam:
             OptimizerConfig(beta1=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(n_samples=0)
+        for bad in ({"max_iters": 0}, {"step_size": 0.0}, {"step_size": -0.01}, {"smooth_window": 0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                OptimizerConfig(**bad)
 
 
 class TestMleFit:
