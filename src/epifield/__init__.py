@@ -9,7 +9,7 @@ exceedance mapping and hierarchical region clustering.
 """
 
 from .config import RunConfig, content_hash
-from .data import CaseData, generate_synthetic, ingest_cases, smooth, synthetic_counts
+from .data import CaseData, ingest_cases, smooth, synthetic_counts
 from .forecast import (
     ForecastEnsemble,
     crps,
@@ -19,7 +19,7 @@ from .forecast import (
 )
 from .graph import RegionGraph, load_region_graph, path_graph
 from .likelihood import NoiseParams, build_precision, log_likelihood, log_likelihood_and_grad
-from .mcmc import AmcmcConfig, ChainState, compare_posteriors, run_amcmc
+from .mcmc import AmcmcConfig, ChainState, run_amcmc
 from .model import (
     IncubationParams,
     QuadratureRule,
@@ -75,7 +75,6 @@ __all__ = [
     "VariationalState",
     "build_precision",
     "cluster_regions",
-    "compare_posteriors",
     "content_hash",
     "crps",
     "crps_ratio_and_fit",
@@ -87,7 +86,6 @@ __all__ = [
     "elbo_grad_score",
     "exceedance",
     "fit_mfvi",
-    "generate_synthetic",
     "incubation_cdf",
     "infection_rate",
     "ingest_cases",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks, plots
 from .config import ENSEMBLE_FIELDS, FIT_FIELDS, RunConfig, content_hash
-from .data import CaseData, generate_synthetic, ingest_cases, smooth, write_cases_csv
+from .data import CaseData, ingest_cases, smooth, synthetic_counts, write_cases_csv
 from .forecast import (
     crps,
     crps_ratio_and_fit,
@@ -239,6 +239,9 @@ def cmd_crps(args, cfg):
     T = window.counts.sum(axis=0)
     fit = crps_ratio_and_fit(C, T)
     write_crps_csv(inputs.graph.region_ids, C, T, fit["rho"], Path(args.out) / "crps.csv")
+    if fit["n_excluded"]:
+        excluded = [rid for rid, rho in zip(inputs.graph.region_ids, fit["rho"]) if np.isnan(rho)]
+        print(f"excluded {len(excluded)} region(s) with no cases in the fit window: {', '.join(excluded)}")
     print(f"crps written; log-rho vs log-T slope {fit['slope']:.3f}, intercept {fit['intercept']:.3f}")
     return 0
 
@@ -263,18 +266,17 @@ def cmd_simulate(args, cfg):
         pop = graph.populations[r] if graph.populations.size else 50000.0
         regions.append(RegionParams(t0=start_off - 10.0, N=max(200.0, 0.01 * pop), k=3.0, theta=7.0))
     truth = ParamVector.from_parts(regions, NoiseParams(tau_phi=1.0, lambda_phi=0.5, sigma_a=1.0, sigma_m=0.1))
-    data = generate_synthetic(truth, graph, cfg.incubation, cfg.reference, day_grid,
-                              seed=cfg.seed, quad_nodes=cfg.quad_nodes)
+    counts, _ = synthetic_counts(truth, graph, cfg.incubation, day_grid, seed=cfg.seed, quad_nodes=cfg.quad_nodes)
     second_wave = None
     if args.second_wave > 0:
         # The wave starts on the first forecast day so the fit window stays clean.
         waves = [RegionParams(t0=float(end_off), N=args.second_wave * p.N, k=2.0, theta=3.0) for p in regions]
-        wave_counts = predict_regions(ParamVector.from_parts(waves, truth.noise), cfg.incubation, day_grid,
-                                      QuadratureRule.gauss_legendre(cfg.quad_nodes))
-        data = CaseData(dates=data.dates, counts=data.counts + wave_counts, region_ids=data.region_ids)
+        counts = counts + predict_regions(ParamVector.from_parts(waves, truth.noise), cfg.incubation, day_grid,
+                                          QuadratureRule.gauss_legendre(cfg.quad_nodes))
         second_wave = {"amplitude": args.second_wave, "t0": float(end_off), "k": 2.0, "theta": 3.0}
+    dates = tuple(cfg.reference + dt.timedelta(days=int(d)) for d in day_grid)
     outdir = Path(args.out)
-    write_cases_csv(data, outdir / "cases.csv")
+    write_cases_csv(CaseData(dates=dates, counts=counts, region_ids=graph.region_ids), outdir / "cases.csv")
     truth_doc = {
         "values": truth.values.tolist(),
         "names": param_names(graph.n_regions),

@@ -13,7 +13,7 @@ from .vi import OptimizerConfig
 
 
 # The RunConfig fields that make up its OptimizerConfig.
-OPTIMIZER_FIELDS = ("step_size", "beta1", "beta2", "eps_adam", "max_iters", "n_samples", "grad_tol", "seed")
+OPTIMIZER_FIELDS = ("step_size", "max_iters", "n_samples", "seed")
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,8 @@ class RunConfig:
     prior_t0_sd: float = PriorSpec.t0_sd
     # Optimizer
     step_size: float = OptimizerConfig.step_size
-    beta1: float = OptimizerConfig.beta1
-    beta2: float = OptimizerConfig.beta2
-    eps_adam: float = OptimizerConfig.eps_adam
     max_iters: int = OptimizerConfig.max_iters
     n_samples: int = OptimizerConfig.n_samples
-    grad_tol: float = OptimizerConfig.grad_tol
     seed: int = OptimizerConfig.seed
     # Prediction / surveillance
     ppt_samples: int = 100

@@ -12,11 +12,9 @@ import numpy as np
 
 from .graph import RegionGraph
 from .likelihood import correlated_noise
-from .model import IncubationParams, QuadratureRule
+from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule
 from .params import ParamVector
 from .posterior import predict_regions
-
-DEFAULT_SMOOTHING_WINDOW = 7
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def ingest_cases(path, graph: RegionGraph):
     return CaseData(dates=dates, counts=counts, region_ids=graph.region_ids)
 
 
-def smooth(data: CaseData, window=DEFAULT_SMOOTHING_WINDOW):
+def smooth(data: CaseData, window):
     """smooth_counts() over the date axis of a CaseData."""
     if window % 2 == 0:
         raise ValueError("smoothing window must be odd")
@@ -113,7 +111,7 @@ def smooth(data: CaseData, window=DEFAULT_SMOOTHING_WINDOW):
     return CaseData(dates=data.dates, counts=smooth_counts(data.counts, window), region_ids=data.region_ids)
 
 
-def smooth_counts(counts, window=DEFAULT_SMOOTHING_WINDOW):
+def smooth_counts(counts, window):
     """Centered moving average along axis 0; truncated window mean at the edges."""
     counts = np.atleast_2d(np.asarray(counts, dtype=float))
     half = window // 2
@@ -124,7 +122,8 @@ def smooth_counts(counts, window=DEFAULT_SMOOTHING_WINDOW):
     return out
 
 
-def synthetic_counts(truth: ParamVector, graph: RegionGraph, inc: IncubationParams, day_grid, seed=0, quad_nodes=64):
+def synthetic_counts(truth: ParamVector, graph: RegionGraph, inc: IncubationParams, day_grid, seed=0,
+                     quad_nodes=DEFAULT_QUAD_NODES):
     """Noisy synthetic observations y = prediction + correlated noise, floored at 0.
 
     Returns (observations, noise-free predictions), both (N_d, R).
@@ -134,13 +133,6 @@ def synthetic_counts(truth: ParamVector, graph: RegionGraph, inc: IncubationPara
     if eta.tau_phi == 0 and eta.sigma_a == 0 and eta.sigma_m == 0:
         return y.copy(), y
     return np.maximum(y + correlated_noise(graph, eta, y, np.random.default_rng(seed)), 0.0), y
-
-
-def generate_synthetic(truth: ParamVector, graph: RegionGraph, inc: IncubationParams, reference_date, day_grid, seed=0, quad_nodes=64):
-    """CaseData wrapper around synthetic_counts with a real date axis."""
-    obs, _ = synthetic_counts(truth, graph, inc, day_grid, seed=seed, quad_nodes=quad_nodes)
-    dates = tuple(reference_date + dt.timedelta(days=int(d)) for d in np.asarray(day_grid))
-    return CaseData(dates=dates, counts=obs, region_ids=graph.region_ids)
 
 
 def write_cases_csv(data: CaseData, path):

@@ -139,13 +139,16 @@ def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
 def crps_ratio_and_fit(C, T):
     """Ratios rho_r = C_r / T_r and the OLS fit of log(rho) on log(T).
 
-    Regions with zero case totals are excluded (with a warning count in
-    the result).  Returns a dict with slope, intercept, rho, and the
-    quartile thresholds of rho used for region classification.
+    Regions with zero case totals are excluded: their rho is NaN and the
+    result counts them.  Returns a dict with slope, intercept, rho, and the
+    quartile thresholds of rho used for region classification.  Raises
+    ValueError when no region has a positive total.
     """
     C = np.asarray(C, dtype=float)
     T = np.asarray(T, dtype=float)
     keep = T > 0
+    if not keep.any():
+        raise ValueError("no region has a positive case total to score against")
     rho = np.full(C.shape, np.nan)
     rho[keep] = C[keep] / T[keep]
     logT = np.log(T[keep])

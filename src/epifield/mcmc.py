@@ -14,30 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import softplus
+# Draws kept: every THIN-th after the first half of the chain (the burn-in).
+THIN = 10
+# The proposal adapts from this draw on; before it, it is isotropic with sd INITIAL_SCALE.
+ADAPT_START = 500
+INITIAL_SCALE = 0.1
+# Added to the adapted proposal covariance's diagonal so it stays positive definite.
+RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
 class AmcmcConfig:
     n_total: int = 20000
-    burn_in: int | None = None  # default: half of n_total
-    thin: int = 10
-    adapt_start: int = 500
-    scale: float = 0.1  # pre-adaptation isotropic proposal scale
     seed: int = 0
-    ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
-        kept = (self.n_total - self.effective_burn_in) // self.thin
+        kept = (self.n_total - self.effective_burn_in) // THIN
         if kept < 2:
-            raise ValueError(f"{self.n_total} draws with burn-in {self.effective_burn_in} and thin {self.thin} "
+            raise ValueError(f"{self.n_total} draws with burn-in {self.effective_burn_in} and thin {THIN} "
                              f"keep {max(kept, 0)}; at least 2 are needed")
 
     @property
     def effective_burn_in(self):
-        return self.n_total // 2 if self.burn_in is None else self.burn_in
+        return self.n_total // 2
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,9 @@ class ChainState:
 def run_amcmc(target, x0, config: AmcmcConfig | None = None):
     """Sample target.logpost starting at unconstrained x0.
 
+    The first half of the n_total draws is burn-in; of the rest every
+    THIN-th (10th) draw is kept.  The proposal is isotropic with sd
+    INITIAL_SCALE until draw ADAPT_START (500), and adapts from there on.
     Recommended for d <= 16 (about 3 regions); larger problems trigger a
     warning, not an error.
     """
@@ -71,9 +73,10 @@ def run_amcmc(target, x0, config: AmcmcConfig | None = None):
     sd = 2.38**2 / d
     mean = x.copy()
     cov_accum = np.zeros((d, d))
-    cov = config.scale**2 * np.eye(d)
+    cov = INITIAL_SCALE**2 * np.eye(d)
     chol = np.linalg.cholesky(cov)
 
+    n_burn = config.effective_burn_in
     kept, kept_lp = [], []
     n_accept = 0
     for t in range(1, config.n_total + 1):
@@ -87,11 +90,11 @@ def run_amcmc(target, x0, config: AmcmcConfig | None = None):
         delta = x - mean
         mean += delta / t
         cov_accum += np.outer(delta, x - mean)
-        if t >= config.adapt_start:
-            cov = sd * cov_accum / (t - 1) + config.ridge * np.eye(d)
+        if t >= ADAPT_START:
+            cov = sd * cov_accum / (t - 1) + RIDGE * np.eye(d)
             chol = np.linalg.cholesky(cov)
 
-        if t > config.effective_burn_in and (t - config.effective_burn_in) % config.thin == 0:
+        if t > n_burn and (t - n_burn) % THIN == 0:
             kept.append(x.copy())
             kept_lp.append(lp)
 
@@ -101,35 +104,6 @@ def run_amcmc(target, x0, config: AmcmcConfig | None = None):
         acceptance_rate=n_accept / config.n_total,
         proposal_cov=cov,
     )
-
-
-def compare_posteriors(chain: ChainState, vi, names=None):
-    """Per-parameter moment comparison of an MCMC chain and a VI state.
-
-    VI marginals come analytically from (mu, sigma) in unconstrained
-    space; gaps are reported in units of the MCMC posterior sd.
-    """
-    mcmc_mean = chain.samples.mean(axis=0)
-    mcmc_sd = chain.samples.std(axis=0, ddof=1)
-    vi_mean = np.asarray(vi.mu, dtype=float)
-    vi_sd = softplus(np.asarray(vi.rho, dtype=float))
-    if vi_mean.size != chain.dim:
-        raise ValueError("chain and variational state layouts differ")
-    if names is None:
-        names = [f"x[{i}]" for i in range(chain.dim)]
-    rows = []
-    for i in range(chain.dim):
-        rows.append(
-            {
-                "parameter": names[i],
-                "mcmc_mean": float(mcmc_mean[i]),
-                "mcmc_sd": float(mcmc_sd[i]),
-                "vi_mean": float(vi_mean[i]),
-                "vi_sd": float(vi_sd[i]),
-                "mean_gap_in_mcmc_sd": float(abs(vi_mean[i] - mcmc_mean[i]) / mcmc_sd[i]),
-            }
-        )
-    return rows
 
 
 def write_chain_summary(chain: ChainState, path, names=None):

@@ -100,38 +100,14 @@ class QuadratureRule:
         return c, 1.0 - c, np.log(c), np.column_stack([w * np.log(c), w * c]), w * (1.0 - c)
 
 
-def _gamma_rate(t, p: RegionParams):
-    """(u, log u, f) at time t: u = t - t0, set to 1 where f is zero (t <= t0)."""
+def infection_rate(t, p: RegionParams):
+    """Gamma infection-rate density at time t; zero for t <= t0."""
     u = np.asarray(t, dtype=float) - p.t0
     pos = u > 0
     u = np.where(pos, u, 1.0)
-    log_u = np.log(u)
-    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * log_u - u / p.theta - gammaln(p.k)
-    return u, log_u, np.where(pos, np.exp(log_f), 0.0)
-
-
-def _gamma_partials(u, log_u, f, p: RegionParams):
-    """Partials of the rate f w.r.t. (t0, k, theta) at fixed t; zero where f is."""
-    df_dt0 = f * (1.0 / p.theta - (p.k - 1.0) / u)
-    df_dk = f * (log_u - np.log(p.theta) - digamma(p.k))
-    df_dtheta = f * (u / p.theta**2 - p.k / p.theta)
-    return df_dt0, df_dk, df_dtheta
-
-
-def infection_rate(t, p: RegionParams):
-    """Gamma infection-rate density at time t; zero for t <= t0."""
-    f = _gamma_rate(t, p)[2]
+    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * np.log(u) - u / p.theta - gammaln(p.k)
+    f = np.where(pos, np.exp(log_f), 0.0)
     return f if f.ndim else float(f)
-
-
-def infection_rate_grad(t, p: RegionParams):
-    """Partials of infection_rate w.r.t. (t0, k, theta), and the rate itself.
-
-    Returns (f, df_dt0, df_dk, df_dtheta); with k >= 2 the t0 partial is
-    finite down to t = t0 where all quantities vanish.
-    """
-    u, log_u, f = _gamma_rate(t, p)
-    return (f, *_gamma_partials(u, log_u, f, p))
 
 
 def incubation_cdf(t, inc: IncubationParams):
@@ -260,6 +236,11 @@ def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadrature
 
     The window G and dG/dr come from the tabulated cubic (`_incubation_window`),
     so the partials are exact derivatives of the interpolated model.
+
+    Accuracy limit of the default 64 nodes: against a 2048-node rule, the
+    relative error (floored at 1e-9 of the peak) is at most 2.4e-9 on days
+    1-40 with t0 in [-15, -2], but reaches 9.3e-6 on days 1-107 with t0 in
+    [-60, -2].
     """
     d, c, active = _day_quadrature(p, day_grid, quad)
     _, one_minus_c, log_c, w_logc_c, w_one_minus_c = quad._node_terms

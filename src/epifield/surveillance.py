@@ -14,7 +14,6 @@ from .forecast import ForecastEnsemble
 
 ALARM_RUN_LENGTH = 3
 BOUNDARY_PERCENTILE = 99.0
-DEFAULT_N_SMOOTH = 14
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
     return DetectionResult(boundary=boundary, outliers=outliers, alarms=alarms)
 
 
-def exceedance(ensemble: ForecastEnsemble, observations, start=0, n_smooth=DEFAULT_N_SMOOTH):
+def exceedance(ensemble: ForecastEnsemble, observations, start=0, *, n_smooth):
     """Exceedance ratios observed / boundary and their n_smooth-day mean.
 
     Days with a nonpositive boundary (possible when negative noise

@@ -26,6 +26,11 @@ from .transforms import softplus, softplus_inv
 
 LOG_2PI_E = np.log(2.0 * np.pi * np.e)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class DivergenceError(RuntimeError):
     """Raised when the ELBO stays non-finite; carries the trace so far."""
@@ -67,26 +72,17 @@ class VariationalState:
 @dataclass(frozen=True)
 class OptimizerConfig:
     step_size: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     max_iters: int = 5000
     n_samples: int = 200
     seed: int = 0
-    grad_tol: float = 0.0  # smoothed grad-norm threshold; 0 disables
-    smooth_window: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.smooth_window < 1:
-            raise ValueError(f"smooth_window must be at least 1, got {self.smooth_window}")
 
 
 @dataclass
@@ -184,13 +180,12 @@ class Adam:
         self.t = 0
 
     def step(self, grad):
-        cfg = self.cfg
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad**2
-        mhat = self.m / (1.0 - cfg.beta1**self.t)
-        vhat = self.v / (1.0 - cfg.beta2**self.t)
-        self.x = self.x - cfg.step_size * mhat / (np.sqrt(vhat) + cfg.eps_adam)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
+        mhat = self.m / (1.0 - ADAM_BETA1**self.t)
+        vhat = self.v / (1.0 - ADAM_BETA2**self.t)
+        self.x = self.x - self.cfg.step_size * mhat / (np.sqrt(vhat) + ADAM_EPS)
         return self.x
 
 
@@ -313,8 +308,4 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"variational state non-finite after iteration {it}", trace)
         state = VariationalState(mu=x[:d], rho=x[d:])
-        if config.grad_tol > 0 and it + 1 >= config.smooth_window:
-            recent = np.mean(trace.grad_norm[-config.smooth_window :])
-            if recent < config.grad_tol:
-                break
     return state, trace

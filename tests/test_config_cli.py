@@ -238,6 +238,14 @@ class TestCliErrors:
         assert next(iter(edit)) in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("grad_tol", 0), ("beta1", 0.9)])
+    def test_removed_optimizer_setting_is_refused(self, pipeline, tmp_path, capsys, key, value):
+        _, cfg_path, _ = pipeline
+        edited = _edited_config(cfg_path, tmp_path, **{key: value})
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_seed_override(self, pipeline, tmp_path):
         # --seed changes the config hash, so a fitted artifact is refused.
         root, cfg_path, out = pipeline
@@ -445,3 +453,40 @@ class TestEnsembleArtifact:
         assert rewritten.keys() == original.keys()
         assert all(np.array_equal(rewritten[k], original[k]) for k in original)
         assert (tmp_path / "forecast.csv").read_bytes() == forecast_csv
+
+
+def _zero_cases(cases_csv, regions):
+    """Set the regions' counts to zero through 2020-08-18: the fit window and the
+    three days after it that a 7-day smoothing window reaches back from."""
+    with open(cases_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["region_id"] in regions and row["date"] <= "2020-08-18":
+            row["count"] = "0"
+    with open(cases_csv, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["date", "region_id", "count"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def test_crps_names_the_regions_it_excludes(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path)
+    _zero_cases(tmp_path / "cases.csv", {"sandoval"})
+    assert main(["fit", *args]) == 0
+    capsys.readouterr()
+    assert main(["crps", *args]) == 0
+    assert "excluded 1 region(s) with no cases in the fit window: sandoval" in capsys.readouterr().out
+
+
+def test_crps_without_cases_in_any_region_is_data_error(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path)
+    _zero_cases(tmp_path / "cases.csv", {"bernalillo", "sandoval"})
+    assert main(["fit", *args]) == 0
+    capsys.readouterr()
+    assert main(["crps", *args]) == 2
+    assert "no region has a positive case total" in capsys.readouterr().err
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in epifield.__all__ if not hasattr(epifield, name)]
+    assert not missing

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from epifield import AmcmcConfig, VariationalState, compare_posteriors, run_amcmc
+from epifield import AmcmcConfig, run_amcmc
 from epifield.mcmc import write_chain_summary
-from epifield.transforms import softplus_inv
 
 
 class StandardNormal:
@@ -17,7 +16,7 @@ class StandardNormal:
 class TestRunAmcmc:
     def test_recovers_standard_normal(self):
         target = StandardNormal(3)
-        cfg = AmcmcConfig(n_total=100_000, adapt_start=500, seed=0)
+        cfg = AmcmcConfig(n_total=100_000, seed=0)
         chain = run_amcmc(target, np.zeros(3), cfg)
         assert chain.samples.shape == (5000, 3)
         assert np.all(np.abs(chain.samples.mean(axis=0)) < 0.05)
@@ -33,14 +32,14 @@ class TestRunAmcmc:
 
     def test_acceptance_rate_reasonable_after_adaptation(self):
         target = StandardNormal(4)
-        cfg = AmcmcConfig(n_total=20_000, adapt_start=500, seed=1)
+        cfg = AmcmcConfig(n_total=20_000, seed=1)
         chain = run_amcmc(target, np.zeros(4), cfg)
         assert 0.1 <= chain.acceptance_rate <= 0.5
 
     def test_warns_on_high_dimension(self):
         target = StandardNormal(17)
         with pytest.warns(UserWarning, match="d=17"):
-            run_amcmc(target, np.zeros(17), AmcmcConfig(n_total=200, adapt_start=50))
+            run_amcmc(target, np.zeros(17), AmcmcConfig(n_total=200))
 
     def test_rejects_nonfinite_start(self):
         class Bad:
@@ -53,13 +52,11 @@ class TestRunAmcmc:
     def test_burn_in_default_is_half(self):
         cfg = AmcmcConfig(n_total=1000)
         assert cfg.effective_burn_in == 500
-        assert AmcmcConfig(n_total=1000, burn_in=100).effective_burn_in == 100
 
-    @pytest.mark.parametrize("kwargs", [{"n_total": 10}, {"n_total": 20}, {"n_total": 1000, "burn_in": 990},
-                                        {"n_total": 100, "burn_in": 200}, {"n_total": 100, "thin": 0}])
+    @pytest.mark.parametrize("kwargs", [{"n_total": 10}, {"n_total": 20}])
     def test_budget_keeping_fewer_than_two_draws_is_refused(self, kwargs):
         # n_total=10 used to fail with an IndexError; n_total=20 kept one draw and reported nan sds.
-        with pytest.raises(ValueError, match="keep|thin"):
+        with pytest.raises(ValueError, match="keep"):
             AmcmcConfig(**kwargs)
 
     def test_smallest_budget_keeps_two_draws(self):
@@ -69,23 +66,6 @@ class TestRunAmcmc:
 
 
 class TestComparison:
-    def test_mean_gap_small_on_shared_gaussian_target(self):
-        chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=50_000, seed=2))
-        vi = VariationalState(mu=np.zeros(2), rho=np.full(2, float(softplus_inv(1.0))))
-        rows = compare_posteriors(chain, vi)
-        assert all(row["mean_gap_in_mcmc_sd"] < 0.1 for row in rows)
-
-    def test_identical_inputs_identical_report(self):
-        chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=2000, seed=2))
-        vi = VariationalState(mu=np.zeros(2), rho=np.zeros(2))
-        assert compare_posteriors(chain, vi) == compare_posteriors(chain, vi)
-
-    def test_layout_mismatch_rejected(self):
-        chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=500))
-        vi = VariationalState(mu=np.zeros(3), rho=np.zeros(3))
-        with pytest.raises(ValueError):
-            compare_posteriors(chain, vi)
-
     def test_summary_csv(self, tmp_path):
         chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=2000, seed=4))
         path = tmp_path / "chain.csv"

@@ -17,12 +17,9 @@ from epifield import (
 from epifield import model
 from epifield.model import (
     _day_quadrature,
-    _gamma_partials,
-    _gamma_rate,
     _incubation_window,
     _window_table,
     incubation_pdf,
-    infection_rate_grad,
 )
 
 QUAD = QuadratureRule.gauss_legendre(64)
@@ -63,7 +60,8 @@ class TestInfectionRate:
     def test_grad_matches_finite_differences(self):
         p = RegionParams(t0=-5.0, N=1.0, k=2.7, theta=5.0)
         t = np.array([1.0, 4.0, 20.0])
-        f, d0, dk, dth = infection_rate_grad(t, p)
+        u, log_u, f = _gamma_rate(t, p)
+        d0, dk, dth = _gamma_partials(u, log_u, f, p)
         h = 1e-6
         fd0 = (infection_rate(t, RegionParams(p.t0 + h, p.N, p.k, p.theta))
                - infection_rate(t, RegionParams(p.t0 - h, p.N, p.k, p.theta))) / (2 * h)
@@ -339,6 +337,24 @@ def _tau_incubation_window(tau, day_grid, inc, with_grad):
     a3 += a1
     a3 *= 32.0
     return g, a3
+
+
+def _gamma_rate(t, p):
+    """(u, log u, f) at time t: u = t - t0, set to 1 where f is zero (t <= t0)."""
+    u = np.asarray(t, dtype=float) - p.t0
+    pos = u > 0
+    u = np.where(pos, u, 1.0)
+    log_u = np.log(u)
+    log_f = -p.k * np.log(p.theta) + (p.k - 1.0) * log_u - u / p.theta - gammaln(p.k)
+    return u, log_u, np.where(pos, np.exp(log_f), 0.0)
+
+
+def _gamma_partials(u, log_u, f, p):
+    """Partials of the rate f w.r.t. (t0, k, theta) at fixed t; zero where f is."""
+    df_dt0 = f * (1.0 / p.theta - (p.k - 1.0) / u)
+    df_dk = f * (log_u - np.log(p.theta) - digamma(p.k))
+    df_dtheta = f * (u / p.theta**2 - p.k / p.theta)
+    return df_dt0, df_dk, df_dtheta
 
 
 def tau_convolve(p, inc, day_grid, quad, with_grad):
