@@ -89,10 +89,9 @@ def _load_graph(cfg):
 
 
 class _Inputs(NamedTuple):
-    """A command's inputs, read once: the graph, the raw and the fitted (smoothed) series, the fit window."""
+    """A command's inputs, read once: the graph, the fitted (smoothed) series, the fit window."""
 
     graph: RegionGraph
-    raw: CaseData
     series: CaseData
     ctx: ModelContext
     window: CaseData
@@ -104,9 +103,8 @@ def _inputs(cfg):
     series = smooth(raw, cfg.smoothing_window) if cfg.smoothing_window > 1 else raw
     window = series.window(cfg.fit_start_date, cfg.fit_end_date)
     ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.reference), y_obs=window.counts,
-                       incubation=cfg.incubation, prior=cfg.prior, quad_nodes=cfg.quad_nodes,
-                       include_jacobian=cfg.include_jacobian_entropy)
-    return _Inputs(graph, raw, series, ctx, window)
+                       incubation=cfg.incubation, prior=cfg.prior, quad_nodes=cfg.quad_nodes)
+    return _Inputs(graph, series, ctx, window)
 
 
 def _data_hash(cfg):
@@ -196,7 +194,7 @@ def cmd_forecast(args, cfg):
 
 def cmd_detect(args, cfg):
     inputs, ensemble, n_fc = _ensemble_for(cfg, args)
-    obs = _forecast_observations(cfg, inputs.raw if cfg.detect_on_raw else inputs.series, n_fc)
+    obs = _forecast_observations(cfg, inputs.series, n_fc)
     result = detect(ensemble, obs.counts, forecast_start=inputs.window.n_days)
     outdir = Path(args.out)
     write_alarms_csv(result, inputs.graph.region_ids, [d.isoformat() for d in obs.dates], outdir / "alarms.csv")
@@ -222,9 +220,7 @@ def cmd_exceedance(args, cfg):
 def cmd_cluster(args, cfg):
     graph, emap = _exceedance_map(cfg, args)
     features = np.column_stack([graph.centroids, emap.mean_exceedance])
-    labels, merges = cluster_regions(
-        features, cut=cfg.cluster_cut, linkage=cfg.cluster_linkage, cut_mode=cfg.cluster_cut_mode
-    )
+    labels, merges = cluster_regions(features, cut=cfg.cluster_cut)
     outdir = Path(args.out)
     write_clusters(labels, merges, graph.region_ids, outdir / "clusters.csv", outdir / "dendrogram.json")
     print(f"{labels.max()} cluster(s) written to {outdir / 'clusters.csv'}")
@@ -234,15 +230,17 @@ def cmd_cluster(args, cfg):
 def cmd_crps(args, cfg):
     inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False)
     window = inputs.window
-    scored = inputs.raw.window(cfg.fit_start_date, cfg.fit_end_date) if cfg.crps_on_raw else window
-    c, C = crps(ensemble, scored.counts, day_slice=slice(0, window.n_days))
+    c, C = crps(ensemble, window.counts, day_slice=slice(0, window.n_days))
     T = window.counts.sum(axis=0)
     fit = crps_ratio_and_fit(C, T)
     write_crps_csv(inputs.graph.region_ids, C, T, fit["rho"], Path(args.out) / "crps.csv")
     if fit["n_excluded"]:
         excluded = [rid for rid, rho in zip(inputs.graph.region_ids, fit["rho"]) if np.isnan(rho)]
         print(f"excluded {len(excluded)} region(s) with no cases in the fit window: {', '.join(excluded)}")
-    print(f"crps written; log-rho vs log-T slope {fit['slope']:.3f}, intercept {fit['intercept']:.3f}")
+    if fit["not_fitted"]:
+        print(f"crps written; log-rho vs log-T slope not fitted: {fit['not_fitted']}")
+    else:
+        print(f"crps written; log-rho vs log-T slope {fit['slope']:.3f}, intercept {fit['intercept']:.3f}")
     return 0
 
 

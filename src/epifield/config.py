@@ -44,13 +44,7 @@ class RunConfig:
     ppt_samples: int = 100
     n_smooth: int = 14
     mcmc_draws: int = 20000
-    # Mode flags
-    include_jacobian_entropy: bool = True
-    crps_on_raw: bool = False
-    detect_on_raw: bool = False
-    cluster_linkage: str = "complete"
     cluster_cut: float = 0.6
-    cluster_cut_mode: str = "fraction"
     # Region subset (empty = all)
     regions: tuple = ()
 
@@ -59,6 +53,8 @@ class RunConfig:
             raise ValueError("fit_start must precede fit_end")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
             raise ValueError(f"smoothing_window must be an odd number >= 1, got {self.smoothing_window}")
+        if self.n_smooth < 1:
+            raise ValueError(f"n_smooth must be >= 1, got {self.n_smooth}")
 
     @property
     def reference(self) -> dt.date:
@@ -111,14 +107,13 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
-# The fields a fit depends on: the time axis, smoothing, the model, prior and
-# Jacobian, the optimizer (seed included) and the region subset.  Forecast,
+# The fields a fit depends on: the time axis, smoothing, the model and prior,
+# the optimizer (seed included) and the region subset.  Forecast,
 # surveillance and scoring knobs are not among them, so editing those keeps fit.json.
 FIT_FIELDS = (
     "reference_date", "fit_start", "fit_end",
     "smoothing_window",
     "quad_nodes", "incubation_mu", "incubation_sigma", "prior_t0_mean", "prior_t0_sd",
-    "include_jacobian_entropy",
     *OPTIMIZER_FIELDS,
     "regions",
 )

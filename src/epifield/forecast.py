@@ -97,34 +97,14 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     return ForecastEnsemble(samples=samples, pushforward=pushforward, day_grid=day_grid)
 
 
-def crps_samples(samples, y_obs):
-    """Exact CRPS of the empirical CDF of `samples` against a scalar observation.
+def _crps_energy(samples, obs):
+    """CRPS of the ensemble along axis 0 of `samples` against obs (its other axes).
 
     Uses the energy form E|X - y| - 0.5 E|X - X'| with X uniform over the
-    sample set, which equals the integrated squared difference between the
-    empirical CDF step function and the observation indicator.
+    members, which equals the integrated squared difference between the
+    empirical CDF step function and the observation indicator.  Sorting the
+    members turns sum_{i<j} (x_j - x_i) into prefix weights 2i - n - 1.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    term1 = np.mean(np.abs(x - y_obs))
-    # sum_{i<j} (x_j - x_i) via sorted prefix weights
-    i = np.arange(1, n + 1)
-    pair_sum = 2.0 * np.sum((2 * i - n - 1) * x)
-    return float(term1 - 0.5 * pair_sum / n**2)
-
-
-def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
-    """Per-day CRPS c[i, r] and per-region means C_r over the scored window.
-
-    The energy form of crps_samples, evaluated for every region-day at once
-    on the ensemble sorted along its member axis.
-    """
-    obs = np.asarray(observations, dtype=float)
-    samples = ensemble.samples
-    if day_slice is not None:
-        samples = samples[:, day_slice, :]
-    if obs.shape != samples.shape[1:]:
-        raise ValueError("observation shape must match the scored window")
     x = np.sort(samples, axis=0)
     n = x.shape[0]
     i = np.arange(1, n + 1)
@@ -132,7 +112,23 @@ def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
     # |x - y| in place: the sorted copy is the only ensemble-sized temporary.
     x -= obs
     term1 = np.mean(np.abs(x, out=x), axis=0)
-    c = term1 - 0.5 * pair_sum / n**2
+    return term1 - 0.5 * pair_sum / n**2
+
+
+def crps_samples(samples, y_obs):
+    """Exact CRPS of the empirical CDF of `samples` against a scalar observation."""
+    return float(_crps_energy(np.asarray(samples, dtype=float), y_obs))
+
+
+def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
+    """Per-day CRPS c[i, r] and per-region means C_r over the scored window."""
+    obs = np.asarray(observations, dtype=float)
+    samples = ensemble.samples
+    if day_slice is not None:
+        samples = samples[:, day_slice, :]
+    if obs.shape != samples.shape[1:]:
+        raise ValueError("observation shape must match the scored window")
+    c = _crps_energy(samples, obs)
     return c, c.mean(axis=0)
 
 
@@ -140,8 +136,10 @@ def crps_ratio_and_fit(C, T):
     """Ratios rho_r = C_r / T_r and the OLS fit of log(rho) on log(T).
 
     Regions with zero case totals are excluded: their rho is NaN and the
-    result counts them.  Returns a dict with slope, intercept, rho, and the
-    quartile thresholds of rho used for region classification.  Raises
+    result counts them.  Returns a dict with slope, intercept, rho, the
+    quartile thresholds of rho used for region classification, and
+    `not_fitted`: None, or why there was no fit (fewer than 2 distinct
+    positive totals), in which case slope and intercept are None.  Raises
     ValueError when no region has a positive total.
     """
     C = np.asarray(C, dtype=float)
@@ -152,16 +150,18 @@ def crps_ratio_and_fit(C, T):
     rho = np.full(C.shape, np.nan)
     rho[keep] = C[keep] / T[keep]
     logT = np.log(T[keep])
-    logrho = np.log(rho[keep])
-    if keep.sum() >= 2 and np.ptp(logT) > 0:
-        slope, intercept = np.polyfit(logT, logrho, 1)
+    if np.ptp(logT) > 0:
+        slope, intercept = map(float, np.polyfit(logT, np.log(rho[keep]), 1))
+        not_fitted = None
     else:
-        slope, intercept = 0.0, float(np.mean(logrho))
+        slope = intercept = None
+        not_fitted = f"fewer than 2 distinct case totals among the {int(keep.sum())} region(s) with cases"
     q1, q3 = np.percentile(rho[keep], [25, 75])
     return {
         "rho": rho,
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
+        "not_fitted": not_fitted,
         "rho_q1": float(q1),
         "rho_q3": float(q3),
         "n_excluded": int((~keep).sum()),

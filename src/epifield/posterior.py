@@ -6,8 +6,9 @@ transforms into a single callable surface: value and gradient of
     log p(data | f(x)) + log p(f(x)) [+ sum_i log f_i'(x_i)]
 
 as a function of the unconstrained vector x.  The Jacobian term makes the
-target the density of the push-forward surrogate; it is on by default and
-can be dropped to match a pure-Gaussian objective.
+target the density of the push-forward surrogate, which variational
+inference fits; `include_jacobian=False` drops it for the MAP in
+constrained space that `vi.mle_fit` computes.
 
 `_log_posterior` is the one assembly behind `ModelContext.logpost` and
 `.logpost_and_grad`, and `predict_regions` the one loop of the forward model
@@ -30,7 +31,12 @@ from .transforms import PriorSpec, TransformSpec, log_prior
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Everything needed to evaluate the posterior for one fit window."""
+    """Everything needed to evaluate the posterior for one fit window.
+
+    `logpost(x, include_jacobian=True)` and `logpost_and_grad(x, include_jacobian=True)`
+    evaluate the log-posterior at the unconstrained x, with the transform's
+    log-Jacobian unless `include_jacobian` is False.
+    """
 
     graph: RegionGraph
     day_grid: np.ndarray
@@ -38,7 +44,6 @@ class ModelContext:
     incubation: IncubationParams = field(default_factory=IncubationParams)
     prior: PriorSpec = field(default_factory=PriorSpec)
     quad_nodes: int = DEFAULT_QUAD_NODES
-    include_jacobian: bool = True
 
     def __post_init__(self):
         day_grid = np.asarray(self.day_grid, dtype=float)
@@ -67,10 +72,10 @@ class ModelContext:
     def quad(self) -> QuadratureRule:
         return QuadratureRule.gauss_legendre(self.quad_nodes)
 
-    def logpost(self, xhat, include_jacobian=None):
+    def logpost(self, xhat, include_jacobian=True):
         return _log_posterior(self, xhat, include_jacobian, with_grad=False)
 
-    def logpost_and_grad(self, xhat, include_jacobian=None):
+    def logpost_and_grad(self, xhat, include_jacobian=True):
         return _log_posterior(self, xhat, include_jacobian, with_grad=True)
 
     def predictions(self, theta: ParamVector, day_grid=None):
@@ -106,12 +111,11 @@ def _log_posterior(ctx: ModelContext, xhat, include_jacobian, with_grad):
         value = log_likelihood(ctx.y_obs, ctx.predictions(theta), ctx.graph, theta.noise)
     prior_value, prior_grad = log_prior(theta.values, ctx.prior, ctx.n_regions)
     value += prior_value
-    use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
-    if use_jac:
+    if include_jacobian:
         value += tf.log_jacobian(xhat)
     if not with_grad:
         return value
     grad = (np.concatenate([grad_model.ravel(), grad_eta]) + prior_grad) * tf.fprime(xhat)
-    if use_jac:
+    if include_jacobian:
         grad += tf.log_jacobian_grad(xhat)
     return value, grad

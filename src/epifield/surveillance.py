@@ -96,12 +96,11 @@ def zscore_features(features):
     return (X[:, keep] - mean[keep]) / sd[keep]
 
 
-def cluster_regions(features, cut=0.6, linkage="complete", cut_mode="fraction"):
-    """Hierarchical clustering of Z-scored region features.
+def cluster_regions(features, cut):
+    """Complete-linkage clustering of Z-scored region features.
 
-    cut_mode "fraction" cuts the tree at cut * (maximum merge height);
-    "quantile" cuts at the given quantile of merge heights.  Returns
-    (labels, merges) where merges rows are (left, right, height, size).
+    The tree is cut at cut * (maximum merge height).  Returns (labels,
+    merges) where merges rows are (left, right, height, size).
     """
     X = np.asarray(features, dtype=float)
     if X.shape[0] < 2:
@@ -110,15 +109,8 @@ def cluster_regions(features, cut=0.6, linkage="complete", cut_mode="fraction"):
     if scored.shape[1] == 0:
         # All features identical: every merge happens at height zero.
         scored = np.zeros((X.shape[0], 1))
-    Z = hierarchy.linkage(scored, method=linkage, metric="euclidean")
-    heights = Z[:, 2]
-    if cut_mode == "fraction":
-        threshold = cut * heights.max()
-    elif cut_mode == "quantile":
-        threshold = float(np.quantile(heights, cut))
-    else:
-        raise ValueError(f"unknown cut_mode {cut_mode!r}")
-    labels = hierarchy.fcluster(Z, t=threshold, criterion="distance")
+    Z = hierarchy.linkage(scored, method="complete", metric="euclidean")
+    labels = hierarchy.fcluster(Z, t=cut * Z[:, 2].max(), criterion="distance")
     return labels, Z
 
 

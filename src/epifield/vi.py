@@ -4,7 +4,7 @@ The surrogate is a diagonal Gaussian N(mu, diag(sigma(rho))^2) on the
 unconstrained vector; constrained parameters are its push-forward through
 the slot transforms.  The objective minimized is the negative ELBO
 
-    L(mu, rho) = -H[q] - E_q[log-lik + log-prior (+ log-Jacobian)],
+    L(mu, rho) = -H[q] - E_q[log-lik + log-prior + log-Jacobian],
 
 estimated by Monte Carlo with reparametrized draws x = mu + sigma * eps.
 A score-function (black-box) gradient estimator is provided for variance

@@ -37,7 +37,7 @@ def random_paramvector(rng, n_regions, day_start=0.0):
     )
 
 
-def make_context(n_regions=3, n_days=40, seed=0, include_jacobian=True, truth=None):
+def make_context(n_regions=3, n_days=40, seed=0, truth=None):
     """Synthetic fit context with observations drawn from the model itself."""
     rng = np.random.default_rng(seed)
     graph = path_graph(tuple(f"r{i}" for i in range(n_regions)))
@@ -51,7 +51,6 @@ def make_context(n_regions=3, n_days=40, seed=0, include_jacobian=True, truth=No
         y_obs=obs,
         incubation=IncubationParams(),
         prior=PriorSpec(),
-        include_jacobian=include_jacobian,
     )
     return ctx, truth
 

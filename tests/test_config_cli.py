@@ -51,8 +51,7 @@ class TestRunConfig:
         # Input paths are not bound; the CLI binds the files' bytes instead.
         downstream = {
             "cases_csv": "other.csv", "regions_csv": "r.csv", "edges_csv": "e.csv", "forecast_days": 30,
-            "ppt_samples": 7, "n_smooth": 3, "mcmc_draws": 10, "crps_on_raw": True, "detect_on_raw": True,
-            "cluster_linkage": "single", "cluster_cut": 0.1, "cluster_cut_mode": "quantile",
+            "ppt_samples": 7, "n_smooth": 3, "mcmc_draws": 10, "cluster_cut": 0.1,
         }
         assert set(downstream).isdisjoint(FIT_FIELDS)
         assert set(downstream) | set(FIT_FIELDS) == set(RunConfig.__dataclass_fields__)
@@ -61,7 +60,7 @@ class TestRunConfig:
         for name, value in downstream.items():
             assert content_hash(cfg.with_overrides(**{name: value}), b"data", fields=FIT_FIELDS) == h, name
         fit_edits = {"fit_end": "2020-09-01", "smoothing_window": 3, "incubation_sigma": 0.5,
-                     "include_jacobian_entropy": False, "max_iters": 10, "seed": 1, "regions": ("a",)}
+                     "max_iters": 10, "seed": 1, "regions": ("a",)}
         for name, value in fit_edits.items():
             assert content_hash(cfg.with_overrides(**{name: value}), b"data", fields=FIT_FIELDS) != h, name
 
@@ -230,7 +229,7 @@ class TestCliErrors:
         assert "unknown region ids: nosuch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [{"smoothing_window": 0}, {"smoothing_window": -3},
-                                      {"smoothing_window": 4}, {"max_iters": 0}])
+                                      {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0}])
     def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **edit)
@@ -238,8 +237,11 @@ class TestCliErrors:
         assert next(iter(edit)) in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
-    @pytest.mark.parametrize("key, value", [("grad_tol", 0), ("beta1", 0.9)])
-    def test_removed_optimizer_setting_is_refused(self, pipeline, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value", [
+        ("grad_tol", 0), ("beta1", 0.9), ("include_jacobian_entropy", True), ("detect_on_raw", False),
+        ("crps_on_raw", False), ("cluster_linkage", "complete"), ("cluster_cut_mode", "fraction"),
+    ])
+    def test_removed_setting_is_refused(self, pipeline, tmp_path, capsys, key, value):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **{key: value})
         assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
@@ -309,9 +311,9 @@ def test_raw_is_smoothing_window_one(tmp_path):
     assert main(["forecast", *args]) == 0
 
 
-@pytest.mark.parametrize("command, key", [("detect", "detect_on_raw"), ("crps", "crps_on_raw")])
-def test_raw_scoring_reads_the_cases_once(tmp_path, monkeypatch, command, key):
-    args = _simulate_and_fit(tmp_path, **{key: True})
+@pytest.mark.parametrize("command", ["fit", "forecast", "detect", "exceedance", "cluster", "crps"])
+def test_each_command_reads_the_cases_once(tmp_path, monkeypatch, command):
+    args = _simulate_and_fit(tmp_path)
     calls = []
     real = epifield.cli.ingest_cases
 
@@ -417,10 +419,9 @@ class TestEnsembleArtifact:
     def test_only_ensemble_field_edits_redraw(self, tmp_path, draws):
         # Per command, edits of the fields it reads beyond the ensemble and the fit.
         downstream = {
-            "cluster": {"cluster_cut": 0.1, "cluster_linkage": "single", "cluster_cut_mode": "quantile"},
+            "cluster": {"cluster_cut": 0.1},
             "exceedance": {"n_smooth": 3},
-            "crps": {"crps_on_raw": True},
-            "detect": {"detect_on_raw": True, "mcmc_draws": 10},
+            "detect": {"mcmc_draws": 10},
         }
         edited = {name for edits in downstream.values() for name in edits}
         input_paths = {"cases_csv", "regions_csv", "edges_csv"}  # fit.json binds the files' bytes
@@ -476,6 +477,17 @@ def test_crps_names_the_regions_it_excludes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["crps", *args]) == 0
     assert "excluded 1 region(s) with no cases in the fit window: sandoval" in capsys.readouterr().out
+
+
+def test_crps_says_when_the_slope_is_not_fitted(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path)
+    _zero_cases(tmp_path / "cases.csv", {"sandoval"})
+    assert main(["fit", *args]) == 0
+    capsys.readouterr()
+    assert main(["crps", *args]) == 0
+    out = capsys.readouterr().out
+    assert "slope not fitted: fewer than 2 distinct case totals among the 1 region(s) with cases" in out
+    assert "slope 0.000" not in out
 
 
 def test_crps_without_cases_in_any_region_is_data_error(tmp_path, capsys):

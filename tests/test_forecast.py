@@ -72,8 +72,8 @@ class TestCrpsMatrix:
             obs[3, :2] = 2.5
             ens = ForecastEnsemble(samples=samples, pushforward=samples, day_grid=np.arange(9.0))
             c, _ = crps(ens, obs)
-            loop = np.array([[crps_samples(samples[:, i, r], obs[i, r]) for r in range(4)] for i in range(9)])
-            np.testing.assert_allclose(c, loop, rtol=1e-12, atol=1e-12)
+            loop = np.array([[crps_bruteforce(samples[:, i, r], obs[i, r]) for r in range(4)] for i in range(9)])
+            np.testing.assert_allclose(c, loop, rtol=0, atol=1e-3)
 
     def test_day_slice(self):
         rng = np.random.default_rng(3)
@@ -111,6 +111,13 @@ class TestRatioFit:
         assert fit["n_excluded"] == 1
         assert np.isnan(fit["rho"][0])
         assert np.isfinite(fit["slope"])
+        assert fit["not_fitted"] is None
+
+    @pytest.mark.parametrize("T", [[0.0, 5.0], [5.0, 5.0]])
+    def test_no_fit_without_two_distinct_totals(self, T):
+        fit = crps_ratio_and_fit(np.array([1.0, 2.0]), np.array(T))
+        assert fit["slope"] is None and fit["intercept"] is None
+        assert fit["not_fitted"].startswith("fewer than 2 distinct case totals")
 
 
 class TestEnsemble:

@@ -40,20 +40,19 @@ def _reference_predictions_and_grad(ctx, theta):
     return y, g
 
 
-def reference_log_posterior(ctx, xhat, include_jacobian=None):
+def reference_log_posterior(ctx, xhat, include_jacobian):
     """The separate value assembly that ModelContext.logpost replaced, kept as its oracle."""
     tf = ctx.transforms
     theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
     y = _reference_predictions(ctx, theta)
     value = log_likelihood(ctx.y_obs, y, ctx.graph, theta.noise)
     value += log_prior(theta.values, ctx.prior, ctx.n_regions)[0]
-    use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
-    if use_jac:
+    if include_jacobian:
         value += tf.log_jacobian(xhat)
     return value
 
 
-def reference_log_posterior_and_grad(ctx, xhat, include_jacobian=None):
+def reference_log_posterior_and_grad(ctx, xhat, include_jacobian):
     """The separate gradient assembly that ModelContext.logpost_and_grad replaced, kept as its oracle."""
     tf = ctx.transforms
     xhat = np.asarray(xhat, dtype=float)
@@ -65,8 +64,7 @@ def reference_log_posterior_and_grad(ctx, xhat, include_jacobian=None):
     value += pv
     grad_constrained += pg
     grad = grad_constrained * tf.fprime(xhat)
-    use_jac = ctx.include_jacobian if include_jacobian is None else include_jacobian
-    if use_jac:
+    if include_jacobian:
         value += tf.log_jacobian(xhat)
         grad += tf.log_jacobian_grad(xhat)
     return value, grad
@@ -114,7 +112,7 @@ def _points(ctx, n=3, seed=0):
     return [x0 + 0.05 * rng.standard_normal(ctx.dim) for _ in range(n)]
 
 
-@pytest.mark.parametrize("include_jacobian", [True, False, None])
+@pytest.mark.parametrize("include_jacobian", [True, False])
 def test_logpost_matches_the_separate_assemblies(case, include_jacobian):
     ctx, _ = case
     for x in _points(ctx):

@@ -190,7 +190,7 @@ class TestClustering:
     def test_identical_features_single_cluster(self):
         X = np.full((5, 3), 2.0)
         with pytest.warns(UserWarning):
-            labels, _ = cluster_regions(X)
+            labels, _ = cluster_regions(X, cut=0.6)
         assert len(set(labels)) == 1
 
     def test_matches_naive_agglomeration_oracle(self):
@@ -204,14 +204,6 @@ class TestClustering:
                 assert set_o == set_g
                 assert h_g == pytest.approx(h_o, rel=1e-10)
 
-    def test_quantile_cut_mode(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(0, 1, (12, 2))
-        labels, _ = cluster_regions(X, cut=0.9, cut_mode="quantile")
-        assert labels.shape == (12,)
-        with pytest.raises(ValueError):
-            cluster_regions(X, cut_mode="nope")
-
     def test_needs_two_regions(self):
         with pytest.raises(ValueError):
-            cluster_regions(np.zeros((1, 2)))
+            cluster_regions(np.zeros((1, 2)), cut=0.6)

@@ -43,12 +43,12 @@ class GaussianTarget:
         mean = (self.obs.sum() / self.noise_sd**2) / prec
         return mean, 1.0 / np.sqrt(prec)
 
-    def logpost(self, x, include_jacobian=None):
+    def logpost(self, x, include_jacobian=True):
         x = float(np.asarray(x).ravel()[0])
         ll = -0.5 * np.sum((self.obs - x) ** 2) / self.noise_sd**2
         return ll - 0.5 * x**2 / self.prior_sd**2
 
-    def logpost_and_grad(self, x, include_jacobian=None):
+    def logpost_and_grad(self, x, include_jacobian=True):
         xv = float(np.asarray(x).ravel()[0])
         g = np.sum(self.obs - xv) / self.noise_sd**2 - xv / self.prior_sd**2
         return self.logpost(x), np.array([g])
@@ -243,7 +243,7 @@ class TestMleFit:
         evals, results = [], []
         real_eval, real_minimize = type(ctx).logpost_and_grad, epifield.vi.minimize
 
-        def counting_eval(self, x, include_jacobian=None):
+        def counting_eval(self, x, include_jacobian=True):
             evals.append(1)
             return real_eval(self, x, include_jacobian)
 
@@ -303,7 +303,7 @@ class TestFitMfvi:
 
     def test_divergence_error_carries_trace(self):
         class Exploding:
-            def logpost_and_grad(self, x, include_jacobian=None):
+            def logpost_and_grad(self, x, include_jacobian=True):
                 return np.nan, np.zeros_like(x)
 
         cfg = OptimizerConfig(max_iters=50, n_samples=2, seed=0)
@@ -317,7 +317,7 @@ class TestFitMfvi:
 
             calls = 0
 
-            def logpost_and_grad(self, x, include_jacobian=None):
+            def logpost_and_grad(self, x, include_jacobian=True):
                 self.calls += 1
                 if self.calls > 2:
                     return np.nan, np.full_like(x, np.nan)
