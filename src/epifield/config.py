@@ -55,6 +55,12 @@ class RunConfig:
             raise ValueError(f"smoothing_window must be an odd number >= 1, got {self.smoothing_window}")
         if self.n_smooth < 1:
             raise ValueError(f"n_smooth must be >= 1, got {self.n_smooth}")
+        if self.forecast_days < 1:
+            raise ValueError(f"forecast_days must be >= 1, got {self.forecast_days}")
+        if self.ppt_samples < 2:
+            raise ValueError(f"ppt_samples must be >= 2, got {self.ppt_samples}")
+        if not 0 < self.cluster_cut <= 1:
+            raise ValueError(f"cluster_cut must lie in (0, 1], got {self.cluster_cut}")
 
     @property
     def reference(self) -> dt.date:

@@ -136,11 +136,10 @@ def crps_ratio_and_fit(C, T):
     """Ratios rho_r = C_r / T_r and the OLS fit of log(rho) on log(T).
 
     Regions with zero case totals are excluded: their rho is NaN and the
-    result counts them.  Returns a dict with slope, intercept, rho, the
-    quartile thresholds of rho used for region classification, and
-    `not_fitted`: None, or why there was no fit (fewer than 2 distinct
-    positive totals), in which case slope and intercept are None.  Raises
-    ValueError when no region has a positive total.
+    result counts them (`n_excluded`).  Returns a dict with rho, slope,
+    intercept and `not_fitted`: None, or why there was no fit (fewer than 2
+    distinct positive totals), in which case slope and intercept are None.
+    Raises ValueError when no region has a positive total.
     """
     C = np.asarray(C, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -156,14 +155,11 @@ def crps_ratio_and_fit(C, T):
     else:
         slope = intercept = None
         not_fitted = f"fewer than 2 distinct case totals among the {int(keep.sum())} region(s) with cases"
-    q1, q3 = np.percentile(rho[keep], [25, 75])
     return {
         "rho": rho,
         "slope": slope,
         "intercept": intercept,
         "not_fitted": not_fitted,
-        "rho_q1": float(q1),
-        "rho_q3": float(q3),
         "n_excluded": int((~keep).sum()),
     }
 

@@ -12,13 +12,12 @@ import numpy as np
 class RegionGraph:
     """Symmetric 0/1 adjacency over an ordered list of regions.
 
-    Metadata (name, centroid, population) rides along for reporting and
+    Metadata (centroid, population) rides along for simulation and
     clustering; it never enters the likelihood.
     """
 
     region_ids: tuple
     W: np.ndarray
-    names: tuple = ()
     centroids: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     populations: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -38,8 +37,6 @@ class RegionGraph:
             raise ValueError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "region_ids", tuple(self.region_ids))
-        if not self.names:
-            object.__setattr__(self, "names", tuple(self.region_ids))
 
     @property
     def n_regions(self):
@@ -61,7 +58,6 @@ class RegionGraph:
         return RegionGraph(
             region_ids=tuple(region_ids),
             W=self.W[np.ix_(idx, idx)],
-            names=tuple(self.names[i] for i in idx),
             centroids=self.centroids[idx] if self.centroids.size else self.centroids,
             populations=self.populations[idx] if self.populations.size else self.populations,
         )
@@ -79,14 +75,13 @@ def path_graph(region_ids):
 def load_region_graph(regions_csv, edges_csv):
     """Build a RegionGraph from regions.csv and edges.csv.
 
-    regions.csv columns: region_id, name, lat, lon, population.
+    regions.csv columns: region_id, lat, lon, population; others (such as name) are ignored.
     edges.csv columns: region_a, region_b (one undirected edge per row).
     """
-    ids, names, cents, pops = [], [], [], []
+    ids, cents, pops = [], [], []
     with open(regions_csv, newline="") as fh:
         for row in csv.DictReader(fh):
             ids.append(row["region_id"])
-            names.append(row["name"])
             cents.append((float(row["lat"]), float(row["lon"])))
             pops.append(float(row["population"]))
     index = {rid: i for i, rid in enumerate(ids)}
@@ -100,7 +95,6 @@ def load_region_graph(regions_csv, edges_csv):
     return RegionGraph(
         region_ids=tuple(ids),
         W=W,
-        names=tuple(names),
         centroids=np.array(cents),
         populations=np.array(pops),
     )

@@ -27,12 +27,14 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .graph import RegionGraph
-from .transforms import EPS_LAMBDA
 
 # Ridge applied to zero-degree (isolated) regions so P stays factorizable.
 EPS_DEGREE = 1e-6
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+# lambda_phi stays at most 1 - EPS_LAMBDA, so P = D - lambda W stays positive definite.
+EPS_LAMBDA = 1e-3
 
 
 @dataclass(frozen=True)

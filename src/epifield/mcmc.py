@@ -44,7 +44,6 @@ class ChainState:
     samples: np.ndarray  # n_kept x d, unconstrained
     log_posts: np.ndarray
     acceptance_rate: float
-    proposal_cov: np.ndarray
 
     @property
     def dim(self):
@@ -102,7 +101,6 @@ def run_amcmc(target, x0, config: AmcmcConfig | None = None):
         samples=np.array(kept),
         log_posts=np.array(kept_lp),
         acceptance_rate=n_accept / config.n_total,
-        proposal_cov=cov,
     )
 
 

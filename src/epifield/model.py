@@ -25,8 +25,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, erfc, gammaln
 
-from .transforms import EPS_THETA, K_MIN
-
 DEFAULT_QUAD_NODES = 64
 
 # Incubation-window table: cells per day (step h = 1/32) and the largest table built.
@@ -36,6 +34,10 @@ _WINDOW_MAX_CELLS = 2**20
 # Lognormal incubation fit for COVID-19 (Lauer et al. 2020), log-days.
 DEFAULT_INCUBATION_MU = 1.621
 DEFAULT_INCUBATION_SIGMA = 0.418
+
+# Lower bounds of a region's Gamma shape k and scale theta.
+K_MIN = 2.0
+EPS_THETA = 1e-2
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class QuadratureRule:
     def gauss_legendre(cls, n=DEFAULT_QUAD_NODES):
         """Reference rule on [-1, 1]."""
         if n < 16:
-            raise ValueError("at least 16 quadrature nodes required")
+            raise ValueError(f"at least 16 quadrature nodes required, got {n}")
         nodes, weights = _leggauss(n)
         return cls(nodes=nodes, weights=weights)
 

@@ -35,7 +35,8 @@ class ModelContext:
 
     `logpost(x, include_jacobian=True)` and `logpost_and_grad(x, include_jacobian=True)`
     evaluate the log-posterior at the unconstrained x, with the transform's
-    log-Jacobian unless `include_jacobian` is False.
+    log-Jacobian unless `include_jacobian` is False.  `quad`, the Gauss-Legendre
+    rule of `quad_nodes` nodes, is built at construction.
     """
 
     graph: RegionGraph
@@ -52,8 +53,10 @@ class ModelContext:
             raise ValueError("y_obs must be (len(day_grid), n_regions)")
         object.__setattr__(self, "day_grid", day_grid)
         object.__setattr__(self, "y_obs", y_obs)
-        # Build (or find) the shared incubation-window table now: an oversized one
-        # is refused here, not as a penalty point inside an optimizer.
+        # Build the quadrature rule and (or find) the shared incubation-window table now:
+        # an invalid rule or an oversized table is refused here, not as a penalty point
+        # inside an optimizer.
+        object.__setattr__(self, "quad", QuadratureRule.gauss_legendre(self.quad_nodes))
         _window_table(self.incubation)
 
     @property
@@ -67,10 +70,6 @@ class ModelContext:
     @cached_property
     def transforms(self) -> TransformSpec:
         return TransformSpec.for_regions(self.n_regions)
-
-    @cached_property
-    def quad(self) -> QuadratureRule:
-        return QuadratureRule.gauss_legendre(self.quad_nodes)
 
     def logpost(self, xhat, include_jacobian=True):
         return _log_posterior(self, xhat, include_jacobian, with_grad=False)

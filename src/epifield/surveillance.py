@@ -31,7 +31,6 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class ExceedanceMap:
-    gamma: np.ndarray  # (N_days, R); NaN where the boundary is unusable
     mean_exceedance: np.ndarray  # (R,)
     excluded_days: np.ndarray  # (R,) count of days dropped from the mean
 
@@ -63,7 +62,7 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
 
 
 def exceedance(ensemble: ForecastEnsemble, observations, start=0, *, n_smooth):
-    """Exceedance ratios observed / boundary and their n_smooth-day mean.
+    """Per region, the mean over n_smooth days of the exceedance ratio observed / boundary.
 
     Days with a nonpositive boundary (possible when negative noise
     percentiles meet near-zero predictions) are excluded from the mean and
@@ -79,7 +78,6 @@ def exceedance(ensemble: ForecastEnsemble, observations, start=0, *, n_smooth):
     counts = usable.sum(axis=0)
     mean = np.where(counts > 0, np.nansum(gamma, axis=0) / np.maximum(counts, 1), np.nan)
     return ExceedanceMap(
-        gamma=gamma,
         mean_exceedance=mean,
         excluded_days=(~usable).sum(axis=0),
     )

@@ -1,9 +1,17 @@
 """Constraint transforms between model parameters and unconstrained variables.
 
-Every constrained parameter theta_i is written as theta_i = f_i(x_i) with
-f_i strictly increasing and differentiable, so the optimizer works on all
-of R^d.  Slot kinds: identity (t0), exp (N, tau, sigma_a, sigma_m),
-shifted softplus (k, theta) and scaled logistic (lambda).
+The layout is fixed: [t0, N, k, theta] per region, then the noise parameters
+(tau, lambda, sigma_a, sigma_m).  Each constrained slot is theta_i = f_i(x_i)
+with f_i strictly increasing and differentiable, so the optimizer works on
+all of R^d.  The slot groups are:
+
+- exp: N of every region, tau, sigma_a and sigma_m;
+- shifted softplus: k above `K_MIN` and theta above `EPS_THETA`;
+- scaled logistic: lambda in (0, 1 - `EPS_LAMBDA`);
+- identity: every other slot, i.e. t0.
+
+The bounds belong to the parameters they bound (`model.RegionParams`,
+`likelihood.NoiseParams`); this module only maps onto them.
 """
 
 from __future__ import annotations
@@ -13,18 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-# Slot kind codes
-IDENTITY = 0
-EXP = 1
-SOFTPLUS = 2  # offset + softplus(x)
-LOGISTIC = 3  # upper * expit(x)
-
-K_MIN = 2.0
-EPS_THETA = 1e-2
-EPS_LAMBDA = 1e-3
+from .likelihood import EPS_LAMBDA
+from .model import EPS_THETA, K_MIN
+from .params import dim_for
 
 # Beyond this softplus(x) ~ x and expm1 underflows; branch for stability.
 _BIG = 30.0
+
+# Floors of the softplus pair (k, theta) and the upper end of lambda's range.
+_SOFTPLUS_FLOOR = np.array([K_MIN, EPS_THETA])
+_LAMBDA_MAX = 1.0 - EPS_LAMBDA
 
 
 def softplus(x):
@@ -52,40 +58,33 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Per-slot transform table for a parameter vector of length 4R + 4."""
+    """The slot transforms of the parameter vector of `n_regions` regions (length 4R + 4)."""
 
-    kinds: np.ndarray
-    offsets: np.ndarray
-    uppers: np.ndarray
+    n_regions: int
+
+    def __post_init__(self):
+        region = 4 * np.arange(self.n_regions)
+        lam = 4 * self.n_regions + 1
+        # Slot indices per group, in ascending order; the softplus slots as (R, 2) rows of (k, theta).
+        object.__setattr__(self, "_exp", np.concatenate([region + 1, [lam - 1, lam + 1, lam + 2]]))
+        object.__setattr__(self, "_softplus", np.column_stack([region + 2, region + 3]))
+        object.__setattr__(self, "_logistic", np.array([lam]))
 
     @classmethod
     def for_regions(cls, n_regions):
-        """Standard layout [t0, N, k, theta] per region then (tau, lambda, sigma_a, sigma_m)."""
-        kinds = np.tile([IDENTITY, EXP, SOFTPLUS, SOFTPLUS], n_regions)
-        kinds = np.concatenate([kinds, [EXP, LOGISTIC, EXP, EXP]])
-        offsets = np.zeros(kinds.shape)
-        offsets[np.arange(n_regions) * 4 + 2] = K_MIN
-        offsets[np.arange(n_regions) * 4 + 3] = EPS_THETA
-        uppers = np.ones(kinds.shape)
-        uppers[4 * n_regions + 1] = 1.0 - EPS_LAMBDA
-        return cls(kinds=kinds, offsets=offsets, uppers=uppers)
+        return cls(n_regions)
 
     @property
     def dim(self):
-        return self.kinds.size
+        return dim_for(self.n_regions)
 
     def forward(self, xhat):
         """Map unconstrained xhat to constrained parameters (from_unconstrained)."""
         xhat = np.asarray(xhat, dtype=float)
-        out = np.empty_like(xhat)
-        m = self.kinds == IDENTITY
-        out[m] = xhat[m]
-        m = self.kinds == EXP
-        out[m] = np.exp(xhat[m])
-        m = self.kinds == SOFTPLUS
-        out[m] = self.offsets[m] + softplus(xhat[m])
-        m = self.kinds == LOGISTIC
-        out[m] = self.uppers[m] * expit(xhat[m])
+        out = xhat.copy()
+        out[self._exp] = np.exp(xhat[self._exp])
+        out[self._softplus] = _SOFTPLUS_FLOOR + softplus(xhat[self._softplus])
+        out[self._logistic] = _LAMBDA_MAX * expit(xhat[self._logistic])
         return out
 
     def inverse(self, theta):
@@ -94,60 +93,48 @@ class TransformSpec:
         Raises ValueError for values on or outside the open constraint domain.
         """
         theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        m = self.kinds == IDENTITY
-        out[m] = theta[m]
-        m = self.kinds == EXP
-        if np.any(theta[m] <= 0):
-            raise ValueError("exp-slot value must be strictly positive")
-        out[m] = np.log(theta[m])
-        m = self.kinds == SOFTPLUS
-        shifted = theta[m] - self.offsets[m]
+        out = theta.copy()
+        positive = theta[self._exp]
+        if np.any(positive <= 0):
+            raise ValueError("N, tau_phi, sigma_a and sigma_m must be strictly positive")
+        out[self._exp] = np.log(positive)
+        shifted = theta[self._softplus] - _SOFTPLUS_FLOOR
         if np.any(shifted <= 0):
-            raise ValueError("softplus-slot value must exceed its offset")
-        out[m] = softplus_inv(shifted)
-        m = self.kinds == LOGISTIC
-        frac = theta[m] / self.uppers[m]
+            raise ValueError(f"k must exceed {K_MIN} and theta {EPS_THETA}")
+        out[self._softplus] = softplus_inv(shifted)
+        frac = theta[self._logistic] / _LAMBDA_MAX
         if np.any((frac <= 0) | (frac >= 1)):
-            raise ValueError("logistic-slot value must lie strictly inside (0, upper)")
-        out[m] = logit(frac)
+            raise ValueError(f"lambda_phi must lie strictly inside (0, {_LAMBDA_MAX})")
+        out[self._logistic] = logit(frac)
         return out
 
     def fprime(self, xhat):
         """Per-slot derivative f_i'(x_i); strictly positive everywhere."""
         xhat = np.asarray(xhat, dtype=float)
         out = np.ones_like(xhat)
-        m = self.kinds == EXP
-        out[m] = np.exp(xhat[m])
-        m = self.kinds == SOFTPLUS
-        out[m] = expit(xhat[m])
-        m = self.kinds == LOGISTIC
-        s = expit(xhat[m])
-        out[m] = self.uppers[m] * s * (1.0 - s)
+        out[self._exp] = np.exp(xhat[self._exp])
+        out[self._softplus] = expit(xhat[self._softplus])
+        s = expit(xhat[self._logistic])
+        out[self._logistic] = _LAMBDA_MAX * s * (1.0 - s)
         return out
 
     def log_jacobian(self, xhat):
         """sum_i log f_i'(x_i)."""
         xhat = np.asarray(xhat, dtype=float)
         logs = np.zeros_like(xhat)
-        m = self.kinds == EXP
-        logs[m] = xhat[m]
-        m = self.kinds == SOFTPLUS
-        logs[m] = -softplus(-xhat[m])
-        m = self.kinds == LOGISTIC
-        logs[m] = np.log(self.uppers[m]) - softplus(-xhat[m]) - softplus(xhat[m])
+        logs[self._exp] = xhat[self._exp]
+        logs[self._softplus] = -softplus(-xhat[self._softplus])
+        x = xhat[self._logistic]
+        logs[self._logistic] = np.log(_LAMBDA_MAX) - softplus(-x) - softplus(x)
         return float(np.sum(logs))
 
     def log_jacobian_grad(self, xhat):
         """d/dx_i of log f_i'(x_i), per slot."""
         xhat = np.asarray(xhat, dtype=float)
         out = np.zeros_like(xhat)
-        m = self.kinds == EXP
-        out[m] = 1.0
-        m = self.kinds == SOFTPLUS
-        out[m] = expit(-xhat[m])
-        m = self.kinds == LOGISTIC
-        out[m] = 1.0 - 2.0 * expit(xhat[m])
+        out[self._exp] = 1.0
+        out[self._softplus] = expit(-xhat[self._softplus])
+        out[self._logistic] = 1.0 - 2.0 * expit(xhat[self._logistic])
         return out
 
 

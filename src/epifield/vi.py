@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .posterior import ModelContext
-from .transforms import softplus, softplus_inv
+from .transforms import softplus, softplus_inv, t0_slots
 
 LOG_2PI_E = np.log(2.0 * np.pi * np.e)
 
@@ -208,13 +208,11 @@ def _mle_bounds(ctx):
 
     Identity (t0) slots are limited to a generous window around the data.
     """
-    from .transforms import IDENTITY
-
     lo = np.full(ctx.dim, -30.0)
     hi = np.full(ctx.dim, 30.0)
-    ident = ctx.transforms.kinds == IDENTITY
-    lo[ident] = float(ctx.day_grid[0]) - 120.0
-    hi[ident] = float(ctx.day_grid[-1])
+    t0 = t0_slots(ctx.n_regions)
+    lo[t0] = float(ctx.day_grid[0]) - 120.0
+    hi[t0] = float(ctx.day_grid[-1])
     return list(zip(lo, hi))
 
 

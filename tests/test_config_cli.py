@@ -162,7 +162,7 @@ class TestCliPipeline:
         shutil.copy(root / "out" / "fit.json", tmp_path / "fit.json")
         assert main(["cluster", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         before = (tmp_path / "clusters.csv").read_bytes()
-        other = _edited_config(cfg_path, tmp_path, cluster_cut=1.5)
+        other = _edited_config(cfg_path, tmp_path, cluster_cut=1.0)
         assert main(["cluster", "--config", str(other), "--out", str(tmp_path)]) == 0
         after = (tmp_path / "clusters.csv").read_bytes()
         assert after != before
@@ -229,12 +229,22 @@ class TestCliErrors:
         assert "unknown region ids: nosuch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [{"smoothing_window": 0}, {"smoothing_window": -3},
-                                      {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0}])
+                                      {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0},
+                                      {"forecast_days": 0}, {"forecast_days": -5}, {"ppt_samples": 1},
+                                      {"cluster_cut": -1}, {"cluster_cut": 0}])
     def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **edit)
         assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
         assert next(iter(edit)) in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_too_few_quadrature_nodes_is_data_error(self, pipeline, tmp_path, capsys):
+        _, cfg_path, _ = pipeline
+        edited = _edited_config(cfg_path, tmp_path, quad_nodes=8)
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "quadrature nodes" in err and "MLE starting point" not in err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -165,8 +165,7 @@ class TestSamplePpt:
         # The draws of the former (1, d)-batch form, kept here as the oracle.
         rng = np.random.default_rng(6)
         state = VariationalState(mu=rng.standard_normal(12), rho=rng.standard_normal(12))
-        chain = ChainState(samples=rng.standard_normal((7, 12)), log_posts=np.zeros(7), acceptance_rate=0.3,
-                           proposal_cov=np.eye(12))
+        chain = ChainState(samples=rng.standard_normal((7, 12)), log_posts=np.zeros(7), acceptance_rate=0.3)
         new, old = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(5):
             eps = old.standard_normal((1, state.dim))

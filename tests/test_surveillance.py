@@ -118,8 +118,8 @@ class TestExceedance:
         ens = ForecastEnsemble(samples=samples, pushforward=samples, day_grid=np.arange(4.0))
         emap = exceedance(ens, np.full((4, 1), 5.0), n_smooth=4)
         assert emap.excluded_days[0] == 1
-        assert np.isnan(emap.gamma[1, 0])
-        assert np.isfinite(emap.mean_exceedance[0])
+        # Days 0, 2 and 3 share one boundary; day 1's ratio (5 / -5) would pull the mean down.
+        assert emap.mean_exceedance[0] == pytest.approx(5.0 / ens.boundary(99.0)[0, 0], rel=1e-12)
 
 
 class TestZscore:

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.special import expit, logit
+
 from epifield import PriorSpec
 from epifield.transforms import (
     EPS_LAMBDA,
     EPS_THETA,
+    K_MIN,
     TransformSpec,
     log_prior,
     softplus,
@@ -15,6 +18,85 @@ from epifield.transforms import (
 )
 
 TF2 = TransformSpec.for_regions(2)
+
+# Slot kind codes of the table-driven oracle below.
+IDENTITY, EXP, SOFTPLUS, LOGISTIC = 0, 1, 2, 3
+
+
+class _TableTransformSpec:
+    """Reference: the per-slot table (kind, offset, upper) that TransformSpec's fixed slot groups replaced."""
+
+    def __init__(self, n_regions):
+        kinds = np.tile([IDENTITY, EXP, SOFTPLUS, SOFTPLUS], n_regions)
+        self.kinds = np.concatenate([kinds, [EXP, LOGISTIC, EXP, EXP]])
+        self.offsets = np.zeros(self.kinds.shape)
+        self.offsets[np.arange(n_regions) * 4 + 2] = K_MIN
+        self.offsets[np.arange(n_regions) * 4 + 3] = EPS_THETA
+        self.uppers = np.ones(self.kinds.shape)
+        self.uppers[4 * n_regions + 1] = 1.0 - EPS_LAMBDA
+
+    def forward(self, xhat):
+        out = np.empty_like(xhat)
+        m = self.kinds == IDENTITY
+        out[m] = xhat[m]
+        m = self.kinds == EXP
+        out[m] = np.exp(xhat[m])
+        m = self.kinds == SOFTPLUS
+        out[m] = self.offsets[m] + softplus(xhat[m])
+        m = self.kinds == LOGISTIC
+        out[m] = self.uppers[m] * expit(xhat[m])
+        return out
+
+    def inverse(self, theta):
+        out = np.empty_like(theta)
+        m = self.kinds == IDENTITY
+        out[m] = theta[m]
+        m = self.kinds == EXP
+        if np.any(theta[m] <= 0):
+            raise ValueError("exp-slot value must be strictly positive")
+        out[m] = np.log(theta[m])
+        m = self.kinds == SOFTPLUS
+        shifted = theta[m] - self.offsets[m]
+        if np.any(shifted <= 0):
+            raise ValueError("softplus-slot value must exceed its offset")
+        out[m] = softplus_inv(shifted)
+        m = self.kinds == LOGISTIC
+        frac = theta[m] / self.uppers[m]
+        if np.any((frac <= 0) | (frac >= 1)):
+            raise ValueError("logistic-slot value must lie strictly inside (0, upper)")
+        out[m] = logit(frac)
+        return out
+
+    def fprime(self, xhat):
+        out = np.ones_like(xhat)
+        m = self.kinds == EXP
+        out[m] = np.exp(xhat[m])
+        m = self.kinds == SOFTPLUS
+        out[m] = expit(xhat[m])
+        m = self.kinds == LOGISTIC
+        s = expit(xhat[m])
+        out[m] = self.uppers[m] * s * (1.0 - s)
+        return out
+
+    def log_jacobian(self, xhat):
+        logs = np.zeros_like(xhat)
+        m = self.kinds == EXP
+        logs[m] = xhat[m]
+        m = self.kinds == SOFTPLUS
+        logs[m] = -softplus(-xhat[m])
+        m = self.kinds == LOGISTIC
+        logs[m] = np.log(self.uppers[m]) - softplus(-xhat[m]) - softplus(xhat[m])
+        return float(np.sum(logs))
+
+    def log_jacobian_grad(self, xhat):
+        out = np.zeros_like(xhat)
+        m = self.kinds == EXP
+        out[m] = 1.0
+        m = self.kinds == SOFTPLUS
+        out[m] = expit(-xhat[m])
+        m = self.kinds == LOGISTIC
+        out[m] = 1.0 - 2.0 * expit(xhat[m])
+        return out
 
 
 class TestSoftplus:
@@ -79,6 +161,28 @@ class TestTransformSpec:
         h = 1e-6
         fd = (TF2.forward(x + h) - TF2.forward(x - h)) / (2 * h)
         assert np.allclose(TF2.fprime(x), fd, rtol=1e-8)
+
+
+@pytest.mark.parametrize("n_regions", [1, 3, 33])
+def test_matches_the_table_oracle(n_regions):
+    """Every map equals the table-driven reference bit for bit (NaN equal to NaN), out to |x| = 800."""
+    tf, ref = TransformSpec.for_regions(n_regions), _TableTransformSpec(n_regions)
+    rng = np.random.default_rng(n_regions)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for scale in (1.0, 10.0, 50.0, 800.0):
+            for _ in range(150):
+                x = rng.uniform(-scale, scale, tf.dim)
+                for name in ("forward", "fprime", "log_jacobian_grad"):
+                    assert np.array_equal(getattr(tf, name)(x), getattr(ref, name)(x), equal_nan=True), name
+                assert np.array_equal(tf.log_jacobian(x), ref.log_jacobian(x), equal_nan=True)
+                theta = ref.forward(x)
+                try:
+                    expected = ref.inverse(theta)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        tf.inverse(theta)
+                else:
+                    assert np.array_equal(tf.inverse(theta), expected, equal_nan=True)
 
 
 class TestLogJacobian:
