@@ -6,10 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import json
+import os
 import sys
 import traceback
+import zipfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,29 +21,14 @@ import numpy as np
 from . import checks, plots
 from .config import ENSEMBLE_FIELDS, FIT_FIELDS, RunConfig, content_hash
 from .data import CaseData, ingest_cases, smooth, synthetic_counts, write_cases_csv
-from .forecast import (
-    crps,
-    crps_ratio_and_fit,
-    read_ensemble_npz,
-    sample_ppt,
-    write_crps_csv,
-    write_ensemble_npz,
-    write_forecast_csv,
-)
+from .forecast import ForecastEnsemble, crps, crps_ratio_and_fit, sample_ppt
 from .graph import RegionGraph, load_region_graph
 from .likelihood import NoiseParams
-from .mcmc import AmcmcConfig, run_amcmc, write_chain_summary
+from .mcmc import run_amcmc
 from .model import QuadratureRule, RegionParams
 from .params import ParamVector, param_names
 from .posterior import ModelContext, predict_regions
-from .surveillance import (
-    cluster_regions,
-    detect,
-    exceedance,
-    write_alarms_csv,
-    write_clusters,
-    write_exceedance_csv,
-)
+from .surveillance import cluster_regions, detect, exceedance
 from .vi import DivergenceError, VariationalState, default_initial_guess, fit_mfvi, mle_fit
 
 
@@ -61,8 +49,10 @@ def _build_parser():
         p.add_argument("--config", default="config.json", help="run configuration JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--plot", action="store_true", help="also emit SVG plots")
-        p.add_argument("--raw", action="store_true", help="disable smoothing (sets smoothing_window to 1)")
+        if name in ("fit", "forecast"):
+            p.add_argument("--plot", action="store_true", help="also emit SVG plots")
+        if name != "simulate":
+            p.add_argument("--raw", action="store_true", help="disable smoothing (sets smoothing_window to 1)")
         p.add_argument("--regions", default=None, help="comma-separated region-id subset")
         if name == "simulate":
             p.add_argument("--second-wave", type=float, default=0.0, metavar="AMP",
@@ -76,7 +66,7 @@ def _load_config(args):
         cfg = cfg.with_overrides(seed=args.seed)
     if args.regions:
         cfg = cfg.with_overrides(regions=tuple(args.regions.split(",")))
-    if args.raw:
+    if getattr(args, "raw", False):
         cfg = cfg.with_overrides(smoothing_window=1)
     return cfg
 
@@ -89,37 +79,43 @@ def _load_graph(cfg):
 
 
 class _Inputs(NamedTuple):
-    """A command's inputs, read once: the graph, the fitted (smoothed) series, the fit window."""
+    """A command's inputs, read once: the graph, the fitted (smoothed) series, the fit window,
+    and the hash that binds fit.json to them."""
 
     graph: RegionGraph
     series: CaseData
     ctx: ModelContext
     window: CaseData
+    data_hash: str
 
 
 def _inputs(cfg):
+    # The config's FIT_FIELDS and the bytes of the input files, hashed before they are parsed.
+    files = [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
+    data_hash = content_hash(cfg, *files, fields=FIT_FIELDS)
     graph = _load_graph(cfg)
     raw = ingest_cases(cfg.cases_csv, graph)
     series = smooth(raw, cfg.smoothing_window) if cfg.smoothing_window > 1 else raw
     window = series.window(cfg.fit_start_date, cfg.fit_end_date)
     ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.reference), y_obs=window.counts,
                        incubation=cfg.incubation, prior=cfg.prior, quad_nodes=cfg.quad_nodes)
-    return _Inputs(graph, series, ctx, window)
+    return _Inputs(graph, series, ctx, window, data_hash)
 
 
-def _data_hash(cfg):
-    """Hash of the config's FIT_FIELDS (smoothing_window among them) and the three input files' bytes."""
-    inputs = [Path(p).read_bytes() for p in (cfg.cases_csv, cfg.regions_csv, cfg.edges_csv)]
-    return content_hash(cfg, *inputs, fields=FIT_FIELDS)
-
-
-def _load_fit(cfg, args):
+def _load_fit(inputs, args):
     """The fitted state and the bytes of the fit.json it came from."""
     fit_bytes = (Path(args.out) / "fit.json").read_bytes()
     doc = json.loads(fit_bytes)
-    if doc["config_hash"] != _data_hash(cfg):
+    if doc["config_hash"] != inputs.data_hash:
         raise ValueError("fit.json was produced from different fit settings, smoothing or dataset; re-run fit")
     return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), fit_bytes
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _forecast_observations(cfg, series, n_days):
@@ -131,14 +127,13 @@ def cmd_fit(args, cfg):
     inputs = _inputs(cfg)
     state, trace = fit_mfvi(inputs.ctx, cfg.optimizer)
     outdir = Path(args.out)
-    trace_csv = outdir / "trace.csv"
-    trace.write_csv(trace_csv)
+    _write_csv(outdir / "trace.csv", ["iteration", "elbo", "grad_norm", "seconds", "n_samples"],
+               zip(trace.iterations, trace.elbo, trace.grad_norm, trace.wall_time, trace.n_samples))
     doc = {
         "mu": state.mu.tolist(),
         "rho": state.rho.tolist(),
         "region_ids": list(inputs.graph.region_ids),
-        "config_hash": _data_hash(cfg),
-        "trace_csv": str(trace_csv),
+        "config_hash": inputs.data_hash,
     }
     (outdir / "fit.json").write_text(json.dumps(doc, indent=2))
     if args.plot:
@@ -149,6 +144,28 @@ def cmd_fit(args, cfg):
     return 0
 
 
+def _write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
+    """Store an ensemble with the key of its inputs; the file appears whole or not at all."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, allow_pickle=False, samples=ensemble.samples, pushforward=ensemble.pushforward,
+                 day_grid=ensemble.day_grid, key=np.array(key))
+    os.replace(tmp, path)
+
+
+def _read_ensemble_npz(path, key):
+    """The ensemble stored at path, or None if it is missing, unreadable or has another key."""
+    try:
+        with np.load(path, allow_pickle=False) as doc:
+            if str(doc["key"]) != key:
+                return None
+            return ForecastEnsemble(samples=doc["samples"], pushforward=doc["pushforward"],
+                                    day_grid=doc["day_grid"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+
+
 def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
     """Inputs, posterior-predictive ensemble and forecast length of a downstream command.
 
@@ -157,7 +174,7 @@ def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
     written there; `reuse=False` always draws.
     """
     inputs = _inputs(cfg)
-    state, fit_bytes = _load_fit(cfg, args)
+    state, fit_bytes = _load_fit(inputs, args)
     # The fit-window day grid extended by the available forecast days.
     n_fc = min(cfg.forecast_days, (inputs.series.dates[-1] - cfg.fit_end_date).days)
     fit_grid = inputs.ctx.day_grid
@@ -166,20 +183,24 @@ def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
         raise ValueError("no observations beyond the fit window; cannot forecast/detect")
     path = Path(args.out) / "ensemble.npz"
     key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
-    ensemble = read_ensemble_npz(path, key) if reuse else None
+    ensemble = _read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
         ensemble = sample_ppt(state, inputs.ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
-        write_ensemble_npz(ensemble, key, path)
+        _write_ensemble_npz(ensemble, key, path)
     return inputs, ensemble, n_fc
 
 
 def cmd_forecast(args, cfg):
     inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False, reuse=False)
     outdir = Path(args.out)
-    dates = [cfg.reference + dt.timedelta(days=int(d)) for d in ensemble.day_grid]
-    write_forecast_csv(ensemble, inputs.graph.region_ids, [d.isoformat() for d in dates], outdir / "forecast.csv")
+    dates = [(cfg.reference + dt.timedelta(days=int(d))).isoformat() for d in ensemble.day_grid]
+    bands = ensemble.bands()
+    # (N_days, R, 6): the noisy-sample bands, then the push-forward median.
+    columns = np.stack([*bands.values(), np.percentile(ensemble.pushforward, 50, axis=0)], axis=-1)
+    _write_csv(outdir / "forecast.csv", ["region_id", "date", *bands, "pf_p50"],
+               ([rid, date, *(f"{v:.9g}" for v in columns[i, r])]
+                for r, rid in enumerate(inputs.graph.region_ids) for i, date in enumerate(dates)))
     if args.plot:
-        bands = ensemble.bands()
         window = inputs.window
         for r, rid in enumerate(inputs.graph.region_ids):
             obs = np.full(ensemble.day_grid.size, np.nan)
@@ -197,7 +218,8 @@ def cmd_detect(args, cfg):
     obs = _forecast_observations(cfg, inputs.series, n_fc)
     result = detect(ensemble, obs.counts, forecast_start=inputs.window.n_days)
     outdir = Path(args.out)
-    write_alarms_csv(result, inputs.graph.region_ids, [d.isoformat() for d in obs.dates], outdir / "alarms.csv")
+    _write_csv(outdir / "alarms.csv", ["region_id", "alarm_date", "run_length"],
+               ([inputs.graph.region_ids[r], obs.dates[day].isoformat(), run] for r, day, run in result.alarms))
     print(f"{len(result.alarms)} alarm(s) written to {outdir / 'alarms.csv'}")
     return 0
 
@@ -212,7 +234,9 @@ def _exceedance_map(cfg, args):
 
 def cmd_exceedance(args, cfg):
     graph, emap = _exceedance_map(cfg, args)
-    write_exceedance_csv(emap, graph.region_ids, Path(args.out) / "exceedance.csv")
+    _write_csv(Path(args.out) / "exceedance.csv", ["region_id", "mean_exceedance", "excluded_days"],
+               ([rid, f"{m:.9g}", int(n)]
+                for rid, m, n in zip(graph.region_ids, emap.mean_exceedance, emap.excluded_days)))
     print(f"exceedance written to {Path(args.out) / 'exceedance.csv'}")
     return 0
 
@@ -222,7 +246,10 @@ def cmd_cluster(args, cfg):
     features = np.column_stack([graph.centroids, emap.mean_exceedance])
     labels, merges = cluster_regions(features, cut=cfg.cluster_cut)
     outdir = Path(args.out)
-    write_clusters(labels, merges, graph.region_ids, outdir / "clusters.csv", outdir / "dendrogram.json")
+    _write_csv(outdir / "clusters.csv", ["region_id", "cluster_label"],
+               ([rid, int(label)] for rid, label in zip(graph.region_ids, labels)))
+    merge_list = [{"left": int(left), "right": int(right), "height": float(h)} for left, right, h, _ in merges]
+    (outdir / "dendrogram.json").write_text(json.dumps({"merges": merge_list}, indent=2))
     print(f"{labels.max()} cluster(s) written to {outdir / 'clusters.csv'}")
     return 0
 
@@ -233,7 +260,9 @@ def cmd_crps(args, cfg):
     c, C = crps(ensemble, window.counts, day_slice=slice(0, window.n_days))
     T = window.counts.sum(axis=0)
     fit = crps_ratio_and_fit(C, T)
-    write_crps_csv(inputs.graph.region_ids, C, T, fit["rho"], Path(args.out) / "crps.csv")
+    _write_csv(Path(args.out) / "crps.csv", ["region_id", "crps", "total_cases", "rho"],
+               ([rid, *(f"{v:.9g}" for v in values)]
+                for rid, values in zip(inputs.graph.region_ids, np.column_stack([C, T, fit["rho"]]))))
     if fit["n_excluded"]:
         excluded = [rid for rid, rho in zip(inputs.graph.region_ids, fit["rho"]) if np.isnan(rho)]
         print(f"excluded {len(excluded)} region(s) with no cases in the fit window: {', '.join(excluded)}")
@@ -245,11 +274,13 @@ def cmd_crps(args, cfg):
 
 
 def cmd_mcmc(args, cfg):
-    chain_config = AmcmcConfig(n_total=cfg.mcmc_draws, seed=cfg.seed)
     inputs = _inputs(cfg)
     x0, _ = mle_fit(inputs.ctx, cfg.optimizer)
-    chain = run_amcmc(inputs.ctx, x0, chain_config)
-    write_chain_summary(chain, Path(args.out) / "chain_summary.csv", names=param_names(inputs.graph.n_regions))
+    chain = run_amcmc(inputs.ctx, x0, cfg.amcmc)
+    q05, q50, q95 = np.percentile(chain.samples, [5, 50, 95], axis=0)
+    _write_csv(Path(args.out) / "chain_summary.csv", ["parameter", "mean", "sd", "q05", "q50", "q95"],
+               zip(param_names(inputs.graph.n_regions), chain.samples.mean(axis=0),
+                   chain.samples.std(axis=0, ddof=1), q05, q50, q95))
     print(f"chain summary written; acceptance rate {chain.acceptance_rate:.3f}")
     return 0
 

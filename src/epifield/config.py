@@ -7,6 +7,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
+from .mcmc import AmcmcConfig
 from .model import DEFAULT_INCUBATION_MU, DEFAULT_INCUBATION_SIGMA, DEFAULT_QUAD_NODES, IncubationParams
 from .transforms import PriorSpec
 from .vi import OptimizerConfig
@@ -15,9 +16,21 @@ from .vi import OptimizerConfig
 # The RunConfig fields that make up its OptimizerConfig.
 OPTIMIZER_FIELDS = ("step_size", "max_iters", "n_samples", "seed")
 
+# The settings objects a RunConfig builds at load: attribute, owner and the
+# config key that feeds each of the owner's fields.  The owners check their
+# own values; RunConfig names the keys when they refuse.
+_PARTS = (
+    ("incubation", IncubationParams, {"mu": "incubation_mu", "sigma": "incubation_sigma"}),
+    ("prior", PriorSpec, {"t0_mean": "prior_t0_mean", "t0_sd": "prior_t0_sd"}),
+    ("optimizer", OptimizerConfig, {name: name for name in OPTIMIZER_FIELDS}),
+    ("amcmc", AmcmcConfig, {"n_total": "mcmc_draws", "seed": "seed"}),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The pipeline's settings; `incubation`, `prior`, `optimizer` and `amcmc` are built from them at load."""
+
     # Inputs
     cases_csv: str = "cases.csv"
     regions_csv: str = "regions.csv"
@@ -61,6 +74,12 @@ class RunConfig:
             raise ValueError(f"ppt_samples must be >= 2, got {self.ppt_samples}")
         if not 0 < self.cluster_cut <= 1:
             raise ValueError(f"cluster_cut must lie in (0, 1], got {self.cluster_cut}")
+        for name, owner, keys in _PARTS:
+            try:
+                part = owner(**{arg: getattr(self, key) for arg, key in keys.items()})
+            except ValueError as exc:
+                raise ValueError(f"{exc} (config keys: {', '.join(keys.values())})") from None
+            object.__setattr__(self, name, part)
 
     @property
     def reference(self) -> dt.date:
@@ -73,18 +92,6 @@ class RunConfig:
     @property
     def fit_end_date(self) -> dt.date:
         return dt.date.fromisoformat(self.fit_end)
-
-    @property
-    def incubation(self) -> IncubationParams:
-        return IncubationParams(mu=self.incubation_mu, sigma=self.incubation_sigma)
-
-    @property
-    def prior(self) -> PriorSpec:
-        return PriorSpec(t0_mean=self.prior_t0_mean, t0_sd=self.prior_t0_sd)
-
-    @property
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(**{name: getattr(self, name) for name in OPTIMIZER_FIELDS})
 
     def to_json(self, fields=None):
         """The config as JSON; `fields` keeps only those keys."""

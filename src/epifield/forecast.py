@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import os
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -162,49 +158,3 @@ def crps_ratio_and_fit(C, T):
         "not_fitted": not_fitted,
         "n_excluded": int((~keep).sum()),
     }
-
-
-def write_forecast_csv(ensemble: ForecastEnsemble, region_ids, dates, path):
-    """forecast.csv: region_id, date, p05..p95 and the push-forward median."""
-    bands = ensemble.bands()
-    pf_med = np.percentile(ensemble.pushforward, 50, axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "date", "p05", "p25", "p50", "p75", "p95", "pf_p50"])
-        for r, rid in enumerate(region_ids):
-            for i, date in enumerate(dates):
-                writer.writerow(
-                    [rid, date]
-                    + [f"{bands[f'p{p:02d}'][i, r]:.9g}" for p in PERCENTILES]
-                    + [f"{pf_med[i, r]:.9g}"]
-                )
-
-
-def write_crps_csv(region_ids, C, T, rho, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "crps", "total_cases", "rho"])
-        for r, rid in enumerate(region_ids):
-            writer.writerow([rid, f"{C[r]:.9g}", f"{T[r]:.9g}", f"{rho[r]:.9g}"])
-
-
-def write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
-    """Store an ensemble with the key of its inputs; the file appears whole or not at all."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, allow_pickle=False, samples=ensemble.samples, pushforward=ensemble.pushforward,
-                 day_grid=ensemble.day_grid, key=np.array(key))
-    os.replace(tmp, path)
-
-
-def read_ensemble_npz(path, key):
-    """The ensemble stored at path, or None if it is missing, unreadable or has another key."""
-    try:
-        with np.load(path, allow_pickle=False) as doc:
-            if str(doc["key"]) != key:
-                return None
-            return ForecastEnsemble(samples=doc["samples"], pushforward=doc["pushforward"],
-                                    day_grid=doc["day_grid"])
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None

@@ -8,7 +8,6 @@ empirical covariance of the chain, plus a small ridge.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -102,17 +101,3 @@ def run_amcmc(target, x0, config: AmcmcConfig | None = None):
         log_posts=np.array(kept_lp),
         acceptance_rate=n_accept / config.n_total,
     )
-
-
-def write_chain_summary(chain: ChainState, path, names=None):
-    """Chain summary CSV: parameter, mean, sd, q05, q50, q95."""
-    if names is None:
-        names = [f"x[{i}]" for i in range(chain.dim)]
-    q05, q50, q95 = np.percentile(chain.samples, [5, 50, 95], axis=0)
-    mean = chain.samples.mean(axis=0)
-    sd = chain.samples.std(axis=0, ddof=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "mean", "sd", "q05", "q50", "q95"])
-        for i, name in enumerate(names):
-            writer.writerow([name, mean[i], sd[i], q05[i], q50[i], q95[i]])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -110,33 +108,3 @@ def cluster_regions(features, cut):
     Z = hierarchy.linkage(scored, method="complete", metric="euclidean")
     labels = hierarchy.fcluster(Z, t=cut * Z[:, 2].max(), criterion="distance")
     return labels, Z
-
-
-def write_alarms_csv(result: DetectionResult, region_ids, dates, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "alarm_date", "run_length"])
-        for r, day, run in result.alarms:
-            writer.writerow([region_ids[r], dates[day], run])
-
-
-def write_exceedance_csv(emap: ExceedanceMap, region_ids, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "mean_exceedance", "excluded_days"])
-        for r, rid in enumerate(region_ids):
-            writer.writerow([rid, f"{emap.mean_exceedance[r]:.9g}", int(emap.excluded_days[r])])
-
-
-def write_clusters(labels, merges, region_ids, clusters_path, dendrogram_path):
-    with open(clusters_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "cluster_label"])
-        for rid, label in zip(region_ids, labels):
-            writer.writerow([rid, int(label)])
-    merge_list = [
-        {"left": int(left), "right": int(right), "height": float(h)}
-        for left, right, h, _ in merges
-    ]
-    with open(dendrogram_path, "w") as fh:
-        json.dump({"merges": merge_list}, fh, indent=2)

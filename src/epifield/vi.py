@@ -13,7 +13,6 @@ comparison.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -99,13 +98,6 @@ class ElboTrace:
         self.grad_norm.append(float(grad_norm))
         self.wall_time.append(float(wall_time))
         self.n_samples.append(int(n_samples))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "elbo", "grad_norm", "seconds", "n_samples"])
-            for row in zip(self.iterations, self.elbo, self.grad_norm, self.wall_time, self.n_samples):
-                writer.writerow(row)
 
 
 def sample_epsilon(n, d, seed):

@@ -13,7 +13,6 @@ import epifield.likelihood
 from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
 from epifield.config import ENSEMBLE_FIELDS, FIT_FIELDS
-from epifield.forecast import write_ensemble_npz
 from epifield.params import param_names
 
 
@@ -51,7 +50,7 @@ class TestRunConfig:
         # Input paths are not bound; the CLI binds the files' bytes instead.
         downstream = {
             "cases_csv": "other.csv", "regions_csv": "r.csv", "edges_csv": "e.csv", "forecast_days": 30,
-            "ppt_samples": 7, "n_smooth": 3, "mcmc_draws": 10, "cluster_cut": 0.1,
+            "ppt_samples": 7, "n_smooth": 3, "mcmc_draws": 40, "cluster_cut": 0.1,
         }
         assert set(downstream).isdisjoint(FIT_FIELDS)
         assert set(downstream) | set(FIT_FIELDS) == set(RunConfig.__dataclass_fields__)
@@ -95,8 +94,11 @@ class TestCliPipeline:
     def test_fit_artifacts(self, pipeline):
         root, _, out = pipeline
         doc = json.loads((root / "out" / "fit.json").read_text())
+        assert set(doc) == {"mu", "rho", "region_ids", "config_hash"}
         assert len(doc["mu"]) == 2 * 4 + 4
-        assert (root / "out" / "trace.csv").exists()
+        lines = (root / "out" / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iteration,elbo,grad_norm,seconds,n_samples"
+        assert len(lines) == 200 + 1
 
     def test_forecast(self, pipeline):
         root, cfg_path, out = pipeline
@@ -231,7 +233,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("edit", [{"smoothing_window": 0}, {"smoothing_window": -3},
                                       {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0},
                                       {"forecast_days": 0}, {"forecast_days": -5}, {"ppt_samples": 1},
-                                      {"cluster_cut": -1}, {"cluster_cut": 0}])
+                                      {"cluster_cut": -1}, {"cluster_cut": 0}, {"mcmc_draws": 10},
+                                      {"prior_t0_sd": 0}, {"incubation_sigma": 0}])
     def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **edit)
@@ -298,6 +301,37 @@ def test_edited_edges_refused(tmp_path, capsys):
     assert "re-run fit" in capsys.readouterr().err
 
 
+def test_fit_json_binds_the_cases_the_fit_read(tmp_path, monkeypatch, capsys):
+    # Cases rewritten while the fit runs: fit.json must hold the hash of the bytes it fitted.
+    args = _simulate_and_fit(tmp_path)
+    real = epifield.cli.fit_mfvi
+
+    def rewriting(*a, **kw):
+        result = real(*a, **kw)
+        _zero_cases(tmp_path / "cases.csv", {"sandoval"})
+        return result
+
+    monkeypatch.setattr(epifield.cli, "fit_mfvi", rewriting)
+    assert main(["fit", *args]) == 0
+    capsys.readouterr()
+    assert main(["forecast", *args]) == 2
+    assert "re-run fit" in capsys.readouterr().err
+
+
+def test_fit_json_does_not_depend_on_the_output_path(tmp_path):
+    args = _simulate_and_fit(tmp_path)
+    for name in ("one", "two"):
+        assert main(["fit", args[0], args[1], "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "one" / "fit.json").read_bytes() == (tmp_path / "two" / "fit.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [[c, "--plot"] for c in ("detect", "exceedance", "cluster", "crps", "mcmc",
+                                                           "simulate", "gradcheck")] + [["simulate", "--raw"]])
+def test_flag_where_it_does_nothing_is_usage_error(tmp_path, capsys, argv):
+    assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_raw_fit_refused_without_raw(tmp_path, capsys):
     args = _simulate_and_fit(tmp_path)
     assert main(["fit", *args, "--raw"]) == 0
@@ -340,6 +374,8 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
     args = _simulate_and_fit(tmp_path, mcmc_draws=40)
     assert main(["mcmc", *args]) == 0
     with open(tmp_path / "chain_summary.csv") as fh:
+        assert fh.readline().rstrip() == "parameter,mean,sd,q05,q50,q95"
+        fh.seek(0)
         rows = list(csv.DictReader(fh))
     assert [r["parameter"] for r in rows] == param_names(2)
     assert all(np.isfinite(float(r[k])) for r in rows for k in ("mean", "sd", "q05", "q50", "q95"))
@@ -347,7 +383,8 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
     too_few = _edited_config(Path(args[1]), tmp_path, mcmc_draws=10)
     capsys.readouterr()
     assert main(["mcmc", "--config", str(too_few), "--out", str(tmp_path)]) == 2
-    assert "at least 2 are needed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "at least 2 are needed" in err and "mcmc_draws" in err
 
 
 def test_plot_writes_parseable_svgs(tmp_path):
@@ -431,7 +468,7 @@ class TestEnsembleArtifact:
         downstream = {
             "cluster": {"cluster_cut": 0.1},
             "exceedance": {"n_smooth": 3},
-            "detect": {"mcmc_draws": 10},
+            "detect": {"mcmc_draws": 40},
         }
         edited = {name for edits in downstream.values() for name in edits}
         input_paths = {"cases_csv", "regions_csv", "edges_csv"}  # fit.json binds the files' bytes
@@ -458,7 +495,7 @@ class TestEnsembleArtifact:
         assert original["key"].dtype.kind == "U"
         stale = ForecastEnsemble(samples=2.0 * original["samples"], pushforward=original["pushforward"],
                                  day_grid=original["day_grid"])
-        write_ensemble_npz(stale, str(original["key"]), npz)
+        epifield.cli._write_ensemble_npz(stale, str(original["key"]), npz)
         assert self._drawn_by(draws, ["forecast", *args]) == 1
         rewritten = _npz_arrays(npz)
         assert rewritten.keys() == original.keys()

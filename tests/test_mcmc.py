@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from epifield import AmcmcConfig, run_amcmc
-from epifield.mcmc import write_chain_summary
 
 
 class StandardNormal:
@@ -63,13 +62,3 @@ class TestRunAmcmc:
         chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=40, seed=5))
         assert chain.samples.shape == (2, 2)
         assert np.all(np.isfinite(chain.samples.std(axis=0, ddof=1)))
-
-
-class TestComparison:
-    def test_summary_csv(self, tmp_path):
-        chain = run_amcmc(StandardNormal(2), np.zeros(2), AmcmcConfig(n_total=2000, seed=4))
-        path = tmp_path / "chain.csv"
-        write_chain_summary(chain, path, names=["a", "b"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "parameter,mean,sd,q05,q50,q95"
-        assert len(lines) == 3

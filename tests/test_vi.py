@@ -329,16 +329,6 @@ class TestFitMfvi:
         assert len(exc.value.trace.iterations) == 3
         assert np.isfinite(exc.value.trace.elbo[:2]).all() and np.isnan(exc.value.trace.elbo[2])
 
-    def test_trace_csv(self, tmp_path):
-        ctx, _ = make_context(n_regions=1, n_days=20, seed=31)
-        cfg = OptimizerConfig(max_iters=5, n_samples=2, seed=5)
-        _, trace = fit_mfvi(ctx, cfg, mu0=default_initial_guess(ctx))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "iteration,elbo,grad_norm,seconds,n_samples"
-        assert len(path.read_text().splitlines()) == 6
-
 
 class TestLoglikGradientCheck:
     def test_random_instance(self):
