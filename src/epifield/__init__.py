@@ -29,7 +29,7 @@ from .model import (
     predict_daily,
     predict_daily_grad,
 )
-from .params import ParamVector, dim_for, param_names
+from .params import ParamVector, PriorSpec, TransformSpec, dim_for, param_names
 from .posterior import ModelContext
 from .surveillance import (
     DetectionResult,
@@ -39,7 +39,6 @@ from .surveillance import (
     exceedance,
     zscore_features,
 )
-from .transforms import PriorSpec, TransformSpec
 from .vi import (
     DivergenceError,
     OptimizerConfig,

@@ -36,9 +36,20 @@ class UsageError(Exception):
     pass
 
 
+class StuckChainError(RuntimeError):
+    """The sampler accepted no proposal, so its draws say nothing about the posterior."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Unknown flags are refused by the (sub)parser that was given them, so the error shows its usage.
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
 
 
 def _build_parser():
@@ -277,10 +288,15 @@ def cmd_mcmc(args, cfg):
     inputs = _inputs(cfg)
     x0, _ = mle_fit(inputs.ctx, cfg.optimizer)
     chain = run_amcmc(inputs.ctx, x0, cfg.amcmc)
-    q05, q50, q95 = np.percentile(chain.samples, [5, 50, 95], axis=0)
+    if chain.acceptance_rate == 0:
+        raise StuckChainError("the chain accepted no proposal: acceptance rate 0.000 over "
+                              f"mcmc_draws = {cfg.mcmc_draws}; raise mcmc_draws")
+    # Summarised in model space, the space that param_names name.
+    draws = np.array([inputs.ctx.transforms.forward(x) for x in chain.samples])
+    q05, q50, q95 = np.percentile(draws, [5, 50, 95], axis=0)
     _write_csv(Path(args.out) / "chain_summary.csv", ["parameter", "mean", "sd", "q05", "q50", "q95"],
-               zip(param_names(inputs.graph.n_regions), chain.samples.mean(axis=0),
-                   chain.samples.std(axis=0, ddof=1), q05, q50, q95))
+               zip(param_names(inputs.graph.n_regions), draws.mean(axis=0), draws.std(axis=0, ddof=1),
+                   q05, q50, q95))
     print(f"chain summary written; acceptance rate {chain.acceptance_rate:.3f}")
     return 0
 
@@ -350,7 +366,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return 1
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -360,7 +375,7 @@ def main(argv=None):
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg)
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
-    except (DivergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (DivergenceError, StuckChainError, np.linalg.LinAlgError, FloatingPointError) as exc:
         diag = Path(args.out) / "diagnostics.txt"
         try:
             diag.write_text(traceback.format_exc())

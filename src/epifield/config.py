@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .mcmc import AmcmcConfig
 from .model import DEFAULT_INCUBATION_MU, DEFAULT_INCUBATION_SIGMA, DEFAULT_QUAD_NODES, IncubationParams
-from .transforms import PriorSpec
+from .params import PriorSpec
 from .vi import OptimizerConfig
 
 

@@ -1,20 +1,54 @@
-"""Flat parameter vector layout: [t0, N, k, theta] per region, then noise."""
+"""The flat parameter vector: its layout, its names and its constraint transforms.
+
+The layout is [t0, N, k, theta] per region, then the noise parameters
+(tau, lambda, sigma_a, sigma_m).  Each constrained slot is theta_i = f_i(x_i)
+with f_i strictly increasing and differentiable, so the optimizer works on
+all of R^d.  The slot groups are:
+
+- exp: N of every region, tau, sigma_a and sigma_m;
+- shifted softplus: k above `K_MIN` and theta above `EPS_THETA`;
+- scaled logistic: lambda in (0, 1 - `EPS_LAMBDA`);
+- identity: every other slot, i.e. t0, which alone carries a (Gaussian) prior.
+
+The bounds belong to the parameters they bound (`model.RegionParams`,
+`likelihood.NoiseParams`); this module only maps onto them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, logit
 
-from .likelihood import NoiseParams
-from .model import RegionParams
+from .likelihood import EPS_LAMBDA, NoiseParams
+from .model import EPS_THETA, K_MIN, RegionParams
 
 NOISE_NAMES = ("tau_phi", "lambda_phi", "sigma_a", "sigma_m")
 REGION_NAMES = ("t0", "N", "k", "theta")
+# Slots per region; the noise slots follow the last region's.
+_STRIDE = len(REGION_NAMES)
+
+# Beyond this softplus(x) ~ x and expm1 underflows; branch for stability.
+_BIG = 30.0
+
+# Floors of the softplus pair (k, theta) and the upper end of lambda's range.
+_SOFTPLUS_FLOOR = np.array([K_MIN, EPS_THETA])
+_LAMBDA_MAX = 1.0 - EPS_LAMBDA
 
 
 def dim_for(n_regions):
-    return 4 * n_regions + 4
+    return _STRIDE * n_regions + len(NOISE_NAMES)
+
+
+def slots(n_regions, *names):
+    """Indices of the named slots, in the order named: one per region for a region name, one for a noise name."""
+    return np.concatenate([_STRIDE * np.arange(n_regions) + REGION_NAMES.index(name) if name in REGION_NAMES
+                           else [_STRIDE * n_regions + NOISE_NAMES.index(name)] for name in names])
+
+
+def param_names(n_regions):
+    return [f"{name}[{r}]" for r in range(n_regions) for name in REGION_NAMES] + list(NOISE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -32,25 +66,122 @@ class ParamVector:
 
     @classmethod
     def from_parts(cls, regions, noise: NoiseParams):
-        vals = []
-        for p in regions:
-            vals.extend([p.t0, p.N, p.k, p.theta])
-        vals.extend(noise.as_array())
-        return cls(values=np.array(vals), n_regions=len(regions))
+        vals = [getattr(p, name) for p in regions for name in REGION_NAMES]
+        return cls(values=np.array([*vals, *noise.as_array()]), n_regions=len(regions))
 
     def region(self, r) -> RegionParams:
-        t0, N, k, theta = self.values[4 * r : 4 * r + 4]
-        return RegionParams(t0=t0, N=N, k=k, theta=theta)
+        return RegionParams(*self.values[_STRIDE * r : _STRIDE * (r + 1)])
 
     @property
     def noise(self) -> NoiseParams:
-        tau, lam, sa, sm = self.values[-4:]
-        return NoiseParams(tau_phi=tau, lambda_phi=lam, sigma_a=sa, sigma_m=sm)
+        return NoiseParams(*self.values[_STRIDE * self.n_regions :])
 
 
-def param_names(n_regions):
-    out = []
-    for r in range(n_regions):
-        out.extend(f"{name}[{r}]" for name in REGION_NAMES)
-    out.extend(NOISE_NAMES)
+def softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def softplus_inv(y):
+    y = np.asarray(y, dtype=float)
+    small = y < _BIG
+    out = np.where(small, np.log(np.expm1(np.where(small, y, 1.0))), y)
     return out
+
+
+@dataclass(frozen=True)
+class PriorSpec:
+    """Gaussian prior on the outbreak start day; flat on everything else."""
+
+    t0_mean: float = -10.0
+    t0_sd: float = 30.0
+
+    def __post_init__(self):
+        if self.t0_sd <= 0:
+            raise ValueError("t0_sd must be positive")
+
+
+@dataclass(frozen=True)
+class TransformSpec:
+    """The slot transforms of the parameter vector of `n_regions` regions."""
+
+    n_regions: int
+
+    def __post_init__(self):
+        # Slot indices per group, in ascending order; the softplus slots as (R, 2) rows of (k, theta).
+        R = self.n_regions
+        object.__setattr__(self, "_exp", slots(R, "N", "tau_phi", "sigma_a", "sigma_m"))
+        object.__setattr__(self, "_softplus", np.column_stack([slots(R, "k"), slots(R, "theta")]))
+        object.__setattr__(self, "_logistic", slots(R, "lambda_phi"))
+
+    def forward(self, xhat):
+        """Map unconstrained xhat to constrained parameters (from_unconstrained)."""
+        xhat = np.asarray(xhat, dtype=float)
+        out = xhat.copy()
+        out[self._exp] = np.exp(xhat[self._exp])
+        out[self._softplus] = _SOFTPLUS_FLOOR + softplus(xhat[self._softplus])
+        out[self._logistic] = _LAMBDA_MAX * expit(xhat[self._logistic])
+        return out
+
+    def inverse(self, theta):
+        """Map constrained parameters to unconstrained space (to_unconstrained).
+
+        Raises ValueError for values on or outside the open constraint domain.
+        """
+        theta = np.asarray(theta, dtype=float)
+        out = theta.copy()
+        positive = theta[self._exp]
+        if np.any(positive <= 0):
+            raise ValueError("N, tau_phi, sigma_a and sigma_m must be strictly positive")
+        out[self._exp] = np.log(positive)
+        shifted = theta[self._softplus] - _SOFTPLUS_FLOOR
+        if np.any(shifted <= 0):
+            raise ValueError(f"k must exceed {K_MIN} and theta {EPS_THETA}")
+        out[self._softplus] = softplus_inv(shifted)
+        frac = theta[self._logistic] / _LAMBDA_MAX
+        if np.any((frac <= 0) | (frac >= 1)):
+            raise ValueError(f"lambda_phi must lie strictly inside (0, {_LAMBDA_MAX})")
+        out[self._logistic] = logit(frac)
+        return out
+
+    def fprime(self, xhat):
+        """Per-slot derivative f_i'(x_i); strictly positive everywhere."""
+        xhat = np.asarray(xhat, dtype=float)
+        out = np.ones_like(xhat)
+        out[self._exp] = np.exp(xhat[self._exp])
+        out[self._softplus] = expit(xhat[self._softplus])
+        s = expit(xhat[self._logistic])
+        out[self._logistic] = _LAMBDA_MAX * s * (1.0 - s)
+        return out
+
+    def log_jacobian(self, xhat):
+        """sum_i log f_i'(x_i)."""
+        xhat = np.asarray(xhat, dtype=float)
+        logs = np.zeros_like(xhat)
+        logs[self._exp] = xhat[self._exp]
+        logs[self._softplus] = -softplus(-xhat[self._softplus])
+        x = xhat[self._logistic]
+        logs[self._logistic] = np.log(_LAMBDA_MAX) - softplus(-x) - softplus(x)
+        return float(np.sum(logs))
+
+    def log_jacobian_grad(self, xhat):
+        """d/dx_i of log f_i'(x_i), per slot."""
+        xhat = np.asarray(xhat, dtype=float)
+        out = np.zeros_like(xhat)
+        out[self._exp] = 1.0
+        out[self._softplus] = expit(-xhat[self._softplus])
+        out[self._logistic] = 1.0 - 2.0 * expit(xhat[self._logistic])
+        return out
+
+
+def log_prior(theta, prior: PriorSpec, n_regions):
+    """Gaussian log-prior over the t0 slots; flat elsewhere.
+
+    Returns (value, gradient w.r.t. the constrained vector).
+    """
+    theta = np.asarray(theta, dtype=float)
+    idx = slots(n_regions, "t0")
+    z = (theta[idx] - prior.t0_mean) / prior.t0_sd
+    value = float(-0.5 * np.sum(z**2) - idx.size * (0.5 * np.log(2.0 * np.pi) + np.log(prior.t0_sd)))
+    grad = np.zeros_like(theta)
+    grad[idx] = -z / prior.t0_sd
+    return value, grad

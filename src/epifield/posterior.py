@@ -25,8 +25,7 @@ import numpy as np
 from .graph import RegionGraph
 from .likelihood import log_likelihood, log_likelihood_and_grad
 from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, _window_table, predict_daily, predict_daily_grad
-from .params import ParamVector, dim_for
-from .transforms import PriorSpec, TransformSpec, log_prior
+from .params import ParamVector, PriorSpec, TransformSpec, dim_for, log_prior
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class ModelContext:
 
     @cached_property
     def transforms(self) -> TransformSpec:
-        return TransformSpec.for_regions(self.n_regions)
+        return TransformSpec(self.n_regions)
 
     def logpost(self, xhat, include_jacobian=True):
         return _log_posterior(self, xhat, include_jacobian, with_grad=False)

@@ -22,7 +22,6 @@ class DetectionResult:
     three; one alarm per run, dated at its third outlier day.
     """
 
-    boundary: np.ndarray  # (N_days, R)
     outliers: np.ndarray  # boolean (N_days, R)
     alarms: tuple  # of (region_index, day_index, run_length)
 
@@ -56,7 +55,7 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
         for r, i, n in zip(regions, starts, lengths)
         if n >= ALARM_RUN_LENGTH
     )
-    return DetectionResult(boundary=boundary, outliers=outliers, alarms=alarms)
+    return DetectionResult(outliers=outliers, alarms=alarms)
 
 
 def exceedance(ensemble: ForecastEnsemble, observations, start=0, *, n_smooth):

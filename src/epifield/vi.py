@@ -20,8 +20,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from .likelihood import NoiseParams
+from .model import RegionParams
+from .params import ParamVector, slots, softplus, softplus_inv
 from .posterior import ModelContext
-from .transforms import softplus, softplus_inv, t0_slots
 
 LOG_2PI_E = np.log(2.0 * np.pi * np.e)
 
@@ -185,11 +187,9 @@ def default_initial_guess(ctx: ModelContext):
     """Order-of-magnitude starting point in unconstrained space."""
     start = float(ctx.day_grid[0])
     totals = np.maximum(ctx.y_obs.sum(axis=0), 1.0)
-    theta = []
-    for r in range(ctx.n_regions):
-        theta.extend([start - 10.0, 1.5 * totals[r], 3.0, 10.0])
-    theta.extend([1.0, 0.5, 1.0, 0.3])
-    return ctx.transforms.inverse(np.array(theta))
+    regions = [RegionParams(t0=start - 10.0, N=1.5 * total, k=3.0, theta=10.0) for total in totals]
+    theta = ParamVector.from_parts(regions, NoiseParams(tau_phi=1.0, lambda_phi=0.5, sigma_a=1.0, sigma_m=0.3))
+    return ctx.transforms.inverse(theta.values)
 
 
 _PENALTY = 1e12
@@ -202,7 +202,7 @@ def _mle_bounds(ctx):
     """
     lo = np.full(ctx.dim, -30.0)
     hi = np.full(ctx.dim, 30.0)
-    t0 = t0_slots(ctx.n_regions)
+    t0 = slots(ctx.n_regions, "t0")
     lo[t0] = float(ctx.day_grid[0]) - 120.0
     hi[t0] = float(ctx.day_grid[-1])
     return list(zip(lo, hi))

@@ -13,6 +13,7 @@ import epifield.likelihood
 from epifield import ForecastEnsemble, RunConfig, content_hash
 from epifield.cli import main
 from epifield.config import ENSEMBLE_FIELDS, FIT_FIELDS
+from epifield.model import K_MIN
 from epifield.params import param_names
 
 
@@ -329,7 +330,18 @@ def test_fit_json_does_not_depend_on_the_output_path(tmp_path):
                                                            "simulate", "gradcheck")] + [["simulate", "--raw"]])
 def test_flag_where_it_does_nothing_is_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 1
-    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    message, usage = " ".join(capsys.readouterr().err.split()).split(" usage: ")
+    assert f"unrecognized arguments: {argv[1]}" in message
+    # The usage shown is the command's own, with the flags it does take.
+    assert usage.startswith(f"epifield {argv[0]} [-h] [--config CONFIG]")
+    assert ("--raw" in usage) == (argv[0] != "simulate")
+
+
+@pytest.mark.parametrize("argv, usage", [(["fit", "--seed", "x"], "usage: epifield fit [-h]"),
+                                         (["--bogus"], "usage: epifield [-h] {fit,")])
+def test_usage_error_prints_the_usage_of_the_parser_that_refused(capsys, argv, usage):
+    assert main(argv) == 1
+    assert usage in " ".join(capsys.readouterr().err.split())
 
 
 def test_raw_fit_refused_without_raw(tmp_path, capsys):
@@ -371,7 +383,8 @@ def test_each_command_reads_the_cases_once(tmp_path, monkeypatch, command):
 
 
 def test_mcmc_summarises_every_parameter(tmp_path, capsys):
-    args = _simulate_and_fit(tmp_path, mcmc_draws=40)
+    # 1000 draws move on this config (about 9% accepted); 40 keep two draws of a barely moved chain.
+    args = _simulate_and_fit(tmp_path, mcmc_draws=1000)
     assert main(["mcmc", *args]) == 0
     with open(tmp_path / "chain_summary.csv") as fh:
         assert fh.readline().rstrip() == "parameter,mean,sd,q05,q50,q95"
@@ -379,12 +392,31 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["parameter"] for r in rows] == param_names(2)
     assert all(np.isfinite(float(r[k])) for r in rows for k in ("mean", "sd", "q05", "q50", "q95"))
+    assert all(float(r["sd"]) > 0 for r in rows)
+    # The summary is in model space: every draw lies inside the parameters' bounds.
+    summary = {r["parameter"]: r for r in rows}
+    for r in range(2):
+        assert float(summary[f"k[{r}]"]["q05"]) >= K_MIN
+        assert float(summary[f"N[{r}]"]["q05"]) > 0
+    for name in ("tau_phi", "sigma_a", "sigma_m"):
+        assert float(summary[name]["q05"]) > 0, name
     # 10 draws keep none after burn-in and thinning; this used to escape main as an IndexError.
     too_few = _edited_config(Path(args[1]), tmp_path, mcmc_draws=10)
     capsys.readouterr()
     assert main(["mcmc", "--config", str(too_few), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "at least 2 are needed" in err and "mcmc_draws" in err
+
+
+def test_mcmc_chain_that_accepts_nothing_is_numerical_failure(tmp_path, capsys):
+    # On this config a 40-draw chain rejects every proposal from the MLE.
+    args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40)
+    capsys.readouterr()
+    assert main(["mcmc", *args]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "acceptance rate 0.000" in err and "mcmc_draws = 40" in err
+    assert "StuckChainError" in (tmp_path / "diagnostics.txt").read_text()
+    assert not (tmp_path / "chain_summary.csv").exists()
 
 
 def test_plot_writes_parseable_svgs(tmp_path):

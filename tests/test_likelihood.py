@@ -15,8 +15,7 @@ from epifield import (
     log_likelihood_and_grad,
     path_graph,
 )
-from epifield.likelihood import EPS_DEGREE, LOG_2PI, _batched_covariances, _whitened
-from epifield.transforms import EPS_LAMBDA
+from epifield.likelihood import EPS_DEGREE, EPS_LAMBDA, LOG_2PI, _batched_covariances, _whitened
 
 from conftest import make_context, random_noise
 

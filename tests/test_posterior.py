@@ -17,9 +17,8 @@ from epifield import (
     synthetic_counts,
 )
 from epifield.likelihood import _batched_covariances, correlated_noise, log_likelihood, log_likelihood_and_grad
-from epifield.params import ParamVector
+from epifield.params import ParamVector, log_prior
 from epifield.posterior import predict_regions
-from epifield.transforms import log_prior
 from epifield.vi import default_initial_guess
 
 from conftest import make_context, random_paramvector

@@ -5,19 +5,21 @@ from hypothesis import strategies as st
 
 from scipy.special import expit, logit
 
-from epifield import PriorSpec
-from epifield.transforms import (
-    EPS_LAMBDA,
-    EPS_THETA,
-    K_MIN,
+from epifield import NoiseParams, PriorSpec, RegionParams
+from epifield.likelihood import EPS_LAMBDA
+from epifield.model import EPS_THETA, K_MIN
+from epifield.params import (
+    ParamVector,
     TransformSpec,
+    dim_for,
     log_prior,
+    param_names,
+    slots,
     softplus,
     softplus_inv,
-    t0_slots,
 )
 
-TF2 = TransformSpec.for_regions(2)
+TF2 = TransformSpec(2)
 
 # Slot kind codes of the table-driven oracle below.
 IDENTITY, EXP, SOFTPLUS, LOGISTIC = 0, 1, 2, 3
@@ -115,28 +117,28 @@ class TestSoftplus:
 
 class TestTransformSpec:
     def test_zero_vector_image(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         theta = tf.forward(np.zeros(8))
         log2 = np.log(2.0)
         expected = [0.0, 1.0, 2.0 + log2, EPS_THETA + log2, 1.0, (1.0 - EPS_LAMBDA) / 2.0, 1.0, 1.0]
         assert np.allclose(theta, expected, rtol=1e-12)
 
     def test_k_slot_zero_maps_back(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         # k = 2 + log 2 corresponds to unconstrained 0
         theta = tf.forward(np.zeros(8))
         assert tf.inverse(theta)[2] == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_roundtrip(self, n_regions, seed):
-        tf = TransformSpec.for_regions(n_regions)
-        x = np.random.default_rng(seed).uniform(-5, 5, tf.dim)
+        tf = TransformSpec(n_regions)
+        x = np.random.default_rng(seed).uniform(-5, 5, dim_for(n_regions))
         theta = tf.forward(x)
         assert np.allclose(tf.inverse(theta), x, atol=1e-12, rtol=1e-10)
         assert np.allclose(tf.forward(tf.inverse(theta)), theta, rtol=1e-12)
 
     def test_lambda_slot_asymptote(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         lam_slot = 5
         vals = [tf.forward(np.eye(8)[lam_slot] * x)[lam_slot] for x in (1.0, 5.0, 20.0, 60.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -144,7 +146,7 @@ class TestTransformSpec:
         assert vals[-1] == pytest.approx(1.0 - EPS_LAMBDA, abs=1e-9)
 
     def test_inverse_rejects_out_of_domain(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         theta = tf.forward(np.zeros(8))
         for slot, bad in [(1, -1.0), (2, 2.0), (3, 0.0), (5, 1.0)]:
             t = theta.copy()
@@ -153,11 +155,11 @@ class TestTransformSpec:
                 tf.inverse(t)
 
     def test_fprime_positive(self):
-        x = np.random.default_rng(0).uniform(-8, 8, TF2.dim)
+        x = np.random.default_rng(0).uniform(-8, 8, dim_for(2))
         assert np.all(TF2.fprime(x) > 0)
 
     def test_fprime_matches_finite_differences(self):
-        x = np.random.default_rng(1).uniform(-3, 3, TF2.dim)
+        x = np.random.default_rng(1).uniform(-3, 3, dim_for(2))
         h = 1e-6
         fd = (TF2.forward(x + h) - TF2.forward(x - h)) / (2 * h)
         assert np.allclose(TF2.fprime(x), fd, rtol=1e-8)
@@ -166,12 +168,12 @@ class TestTransformSpec:
 @pytest.mark.parametrize("n_regions", [1, 3, 33])
 def test_matches_the_table_oracle(n_regions):
     """Every map equals the table-driven reference bit for bit (NaN equal to NaN), out to |x| = 800."""
-    tf, ref = TransformSpec.for_regions(n_regions), _TableTransformSpec(n_regions)
+    tf, ref = TransformSpec(n_regions), _TableTransformSpec(n_regions)
     rng = np.random.default_rng(n_regions)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for scale in (1.0, 10.0, 50.0, 800.0):
             for _ in range(150):
-                x = rng.uniform(-scale, scale, tf.dim)
+                x = rng.uniform(-scale, scale, dim_for(n_regions))
                 for name in ("forward", "fprime", "log_jacobian_grad"):
                     assert np.array_equal(getattr(tf, name)(x), getattr(ref, name)(x), equal_nan=True), name
                 assert np.array_equal(tf.log_jacobian(x), ref.log_jacobian(x), equal_nan=True)
@@ -185,30 +187,53 @@ def test_matches_the_table_oracle(n_regions):
                     assert np.array_equal(tf.inverse(theta), expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("n_regions", [1, 3, 33])
+def test_names_and_transforms_agree_on_the_layout(n_regions):
+    names = param_names(n_regions)
+    x = np.random.default_rng(n_regions).uniform(-5, 5, dim_for(n_regions))
+    theta = TransformSpec(n_regions).forward(x)
+    identity = np.array([name.startswith("t0[") for name in names])
+    exp = np.array([name.startswith("N[") or name in ("tau_phi", "sigma_a", "sigma_m") for name in names])
+    assert identity.sum() == n_regions and exp.sum() == n_regions + 3
+    assert np.array_equal(theta[identity], x[identity])
+    assert np.array_equal(theta[exp], np.exp(x[exp]))
+    rest = ~(identity | exp)
+    assert np.all(theta[rest] != x[rest]) and np.all(theta[rest] != np.exp(x[rest]))
+
+    regions = [RegionParams(t0=-1.0 - r, N=100.0 + r, k=3.0 + r, theta=5.0 + r) for r in range(n_regions)]
+    noise = NoiseParams(tau_phi=1.5, lambda_phi=0.4, sigma_a=2.0, sigma_m=0.2)
+    pv = ParamVector.from_parts(regions, noise)
+    assert [pv.region(r) for r in range(n_regions)] == regions
+    assert pv.noise == noise
+    by_name = dict(zip(names, pv.values))
+    assert [by_name[f"theta[{r}]"] for r in range(n_regions)] == [p.theta for p in regions]
+    assert by_name["lambda_phi"] == noise.lambda_phi
+
+
 class TestLogJacobian:
     def test_identity_slot(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         x = np.zeros(8)
         fp = tf.fprime(x)
         assert fp[0] == 1.0  # t0 slot
 
     def test_exp_slot_at_zero(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         fp = tf.fprime(np.zeros(8))
         assert fp[1] == pytest.approx(1.0)  # exp'(0) = 1, log-contribution 0
 
     def test_softplus_slot_at_zero(self):
-        tf = TransformSpec.for_regions(1)
+        tf = TransformSpec(1)
         fp = tf.fprime(np.zeros(8))
         assert fp[2] == pytest.approx(0.5)  # logistic(0)
 
     def test_total_is_sum_of_log_derivatives(self):
-        x = np.random.default_rng(2).uniform(-4, 4, TF2.dim)
+        x = np.random.default_rng(2).uniform(-4, 4, dim_for(2))
         total, fp = TF2.log_jacobian(x), TF2.fprime(x)
         assert total == pytest.approx(float(np.sum(np.log(fp))), rel=1e-10)
 
     def test_grad_matches_finite_differences(self):
-        x = np.random.default_rng(3).uniform(-3, 3, TF2.dim)
+        x = np.random.default_rng(3).uniform(-3, 3, dim_for(2))
         g = TF2.log_jacobian_grad(x)
         h = 1e-6
         fd = np.empty_like(x)
@@ -224,7 +249,7 @@ class TestPrior:
     def test_value_at_mode(self):
         prior = PriorSpec(t0_mean=-10.0, t0_sd=30.0)
         theta = np.zeros(12)
-        theta[t0_slots(2)] = -10.0
+        theta[slots(2, "t0")] = -10.0
         v, _ = log_prior(theta, prior, 2)
         assert v == pytest.approx(2 * (-0.5 * np.log(2 * np.pi * 30.0**2)), rel=1e-12)
 
@@ -242,7 +267,7 @@ class TestPrior:
         theta = rng.uniform(-20, 20, 12)
         _, g = log_prior(theta, prior, 2)
         h = 1e-6
-        for i in t0_slots(2):
+        for i in slots(2, "t0"):
             hi, lo = theta.copy(), theta.copy()
             hi[i] += h
             lo[i] -= h
