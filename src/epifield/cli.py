@@ -25,7 +25,7 @@ from .forecast import ForecastEnsemble, crps, crps_ratio_and_fit, sample_ppt
 from .graph import RegionGraph, load_region_graph
 from .likelihood import NoiseParams
 from .mcmc import run_amcmc
-from .model import QuadratureRule, RegionParams
+from .model import RegionParams
 from .params import ParamVector, param_names
 from .posterior import ModelContext, predict_regions
 from .surveillance import cluster_regions, detect, exceedance
@@ -106,6 +106,9 @@ def _inputs(cfg):
     data_hash = content_hash(cfg, *files, fields=FIT_FIELDS)
     graph = _load_graph(cfg)
     raw = ingest_cases(cfg.cases_csv, graph)
+    if raw.dates[0] > cfg.fit_start_date or raw.dates[-1] < cfg.fit_end_date:
+        raise ValueError(f"the fit window {cfg.fit_start} to {cfg.fit_end} is not covered by {cfg.cases_csv}, "
+                         f"which holds {raw.dates[0]} to {raw.dates[-1]}")
     series = smooth(raw, cfg.smoothing_window) if cfg.smoothing_window > 1 else raw
     window = series.window(cfg.fit_start_date, cfg.fit_end_date)
     ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.reference), y_obs=window.counts,
@@ -129,9 +132,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _forecast_observations(cfg, series, n_days):
-    """The first n_days of series after the fit window."""
-    return series.window(cfg.fit_end_date + dt.timedelta(days=1), cfg.fit_end_date + dt.timedelta(days=n_days))
+def _forecast_observations(cfg, series):
+    """The observed days of series after the fit window, at most forecast_days of them."""
+    if series.dates[-1] <= cfg.fit_end_date:
+        raise ValueError(f"{cfg.cases_csv} holds no day after the fit window (it ends {series.dates[-1]}), "
+                         "so there is nothing to compare the forecast with")
+    return series.window(cfg.fit_end_date + dt.timedelta(days=1),
+                         cfg.fit_end_date + dt.timedelta(days=cfg.forecast_days))
 
 
 def cmd_fit(args, cfg):
@@ -177,32 +184,29 @@ def _read_ensemble_npz(path, key):
         return None
 
 
-def _ensemble_for(cfg, args, need_forecast=True, reuse=True):
-    """Inputs, posterior-predictive ensemble and forecast length of a downstream command.
+def _ensemble_for(cfg, args, inputs, reuse=True):
+    """The posterior-predictive ensemble of a downstream command.
 
-    The ensemble is read from <out>/ensemble.npz when its key (the config's
-    ENSEMBLE_FIELDS and fit.json's bytes) matches, and otherwise drawn and
-    written there; `reuse=False` always draws.
+    The ensemble spans the fit window and the forecast_days after it.  It is
+    read from <out>/ensemble.npz when its key (the config's ENSEMBLE_FIELDS
+    and fit.json's bytes) matches, and otherwise drawn and written there;
+    `reuse=False` always draws.
     """
-    inputs = _inputs(cfg)
     state, fit_bytes = _load_fit(inputs, args)
-    # The fit-window day grid extended by the available forecast days.
-    n_fc = min(cfg.forecast_days, (inputs.series.dates[-1] - cfg.fit_end_date).days)
     fit_grid = inputs.ctx.day_grid
-    grid = np.concatenate([fit_grid, fit_grid[-1] + 1 + np.arange(max(n_fc, 0))])
-    if need_forecast and n_fc <= 0:
-        raise ValueError("no observations beyond the fit window; cannot forecast/detect")
+    grid = np.concatenate([fit_grid, fit_grid[-1] + 1 + np.arange(cfg.forecast_days)])
     path = Path(args.out) / "ensemble.npz"
     key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
     ensemble = _read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
         ensemble = sample_ppt(state, inputs.ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)
         _write_ensemble_npz(ensemble, key, path)
-    return inputs, ensemble, n_fc
+    return ensemble
 
 
 def cmd_forecast(args, cfg):
-    inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False, reuse=False)
+    inputs = _inputs(cfg)
+    ensemble = _ensemble_for(cfg, args, inputs, reuse=False)
     outdir = Path(args.out)
     dates = [(cfg.reference + dt.timedelta(days=int(d))).isoformat() for d in ensemble.day_grid]
     bands = ensemble.bands()
@@ -225,8 +229,9 @@ def cmd_forecast(args, cfg):
 
 
 def cmd_detect(args, cfg):
-    inputs, ensemble, n_fc = _ensemble_for(cfg, args)
-    obs = _forecast_observations(cfg, inputs.series, n_fc)
+    inputs = _inputs(cfg)
+    obs = _forecast_observations(cfg, inputs.series)
+    ensemble = _ensemble_for(cfg, args, inputs)
     result = detect(ensemble, obs.counts, forecast_start=inputs.window.n_days)
     outdir = Path(args.out)
     _write_csv(outdir / "alarms.csv", ["region_id", "alarm_date", "run_length"],
@@ -236,10 +241,11 @@ def cmd_detect(args, cfg):
 
 
 def _exceedance_map(cfg, args):
-    """The graph and the exceedance map over the first n_smooth forecast days."""
-    inputs, ensemble, n_fc = _ensemble_for(cfg, args)
-    n_smooth = min(cfg.n_smooth, n_fc)
-    obs = _forecast_observations(cfg, inputs.series, n_smooth)
+    """The graph and the exceedance map over the first n_smooth observed forecast days."""
+    inputs = _inputs(cfg)
+    obs = _forecast_observations(cfg, inputs.series)
+    ensemble = _ensemble_for(cfg, args, inputs)
+    n_smooth = min(cfg.n_smooth, obs.n_days)
     return inputs.graph, exceedance(ensemble, obs.counts, start=inputs.window.n_days, n_smooth=n_smooth)
 
 
@@ -266,7 +272,8 @@ def cmd_cluster(args, cfg):
 
 
 def cmd_crps(args, cfg):
-    inputs, ensemble, _ = _ensemble_for(cfg, args, need_forecast=False)
+    inputs = _inputs(cfg)
+    ensemble = _ensemble_for(cfg, args, inputs)
     window = inputs.window
     c, C = crps(ensemble, window.counts, day_slice=slice(0, window.n_days))
     T = window.counts.sum(axis=0)
@@ -317,7 +324,7 @@ def cmd_simulate(args, cfg):
         # The wave starts on the first forecast day so the fit window stays clean.
         waves = [RegionParams(t0=float(end_off), N=args.second_wave * p.N, k=2.0, theta=3.0) for p in regions]
         counts = counts + predict_regions(ParamVector.from_parts(waves, truth.noise), cfg.incubation, day_grid,
-                                          QuadratureRule.gauss_legendre(cfg.quad_nodes))
+                                          cfg.quadrature)
         second_wave = {"amplitude": args.second_wave, "t0": float(end_off), "k": 2.0, "theta": 3.0}
     dates = tuple(cfg.reference + dt.timedelta(days=int(d)) for d in day_grid)
     outdir = Path(args.out)

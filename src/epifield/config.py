@@ -8,7 +8,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from .mcmc import AmcmcConfig
-from .model import DEFAULT_INCUBATION_MU, DEFAULT_INCUBATION_SIGMA, DEFAULT_QUAD_NODES, IncubationParams
+from .model import (DEFAULT_INCUBATION_MU, DEFAULT_INCUBATION_SIGMA, DEFAULT_QUAD_NODES, IncubationParams,
+                    QuadratureRule)
 from .params import PriorSpec
 from .vi import OptimizerConfig
 
@@ -21,6 +22,7 @@ OPTIMIZER_FIELDS = ("step_size", "max_iters", "n_samples", "seed")
 # own values; RunConfig names the keys when they refuse.
 _PARTS = (
     ("incubation", IncubationParams, {"mu": "incubation_mu", "sigma": "incubation_sigma"}),
+    ("quadrature", QuadratureRule.gauss_legendre, {"n": "quad_nodes"}),
     ("prior", PriorSpec, {"t0_mean": "prior_t0_mean", "t0_sd": "prior_t0_sd"}),
     ("optimizer", OptimizerConfig, {name: name for name in OPTIMIZER_FIELDS}),
     ("amcmc", AmcmcConfig, {"n_total": "mcmc_draws", "seed": "seed"}),
@@ -29,7 +31,8 @@ _PARTS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The pipeline's settings; `incubation`, `prior`, `optimizer` and `amcmc` are built from them at load."""
+    """The pipeline's settings; `incubation`, `quadrature`, `prior`, `optimizer` and `amcmc`
+    are built from them at load."""
 
     # Inputs
     cases_csv: str = "cases.csv"

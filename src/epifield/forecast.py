@@ -35,10 +35,6 @@ class ForecastEnsemble:
         if self.samples.shape[1] != np.asarray(self.day_grid).size:
             raise ValueError("day axis mismatch")
 
-    @property
-    def n_samples(self):
-        return self.samples.shape[0]
-
     def bands(self):
         """Percentile bands {p05, p25, p50, p75, p95} of the noisy samples, each (N_days, R)."""
         values = np.percentile(self.samples, PERCENTILES, axis=0)

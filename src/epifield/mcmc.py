@@ -44,10 +44,6 @@ class ChainState:
     log_posts: np.ndarray
     acceptance_rate: float
 
-    @property
-    def dim(self):
-        return self.samples.shape[1]
-
 
 def run_amcmc(target, x0, config: AmcmcConfig | None = None):
     """Sample target.logpost starting at unconstrained x0.

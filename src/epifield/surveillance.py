@@ -35,13 +35,13 @@ class ExceedanceMap:
 def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
     """Flag observed days above the 99th-percentile forecast boundary.
 
-    `observations` covers the forecast days only, i.e. rows
-    forecast_start..end of the ensemble's day axis.
+    `observations` are the first observed forecast days, compared with rows
+    forecast_start, forecast_start + 1, ... of the ensemble's day axis.
     """
     obs = np.asarray(observations, dtype=float)
-    boundary = ensemble.boundary(BOUNDARY_PERCENTILE)[forecast_start:]
+    boundary = ensemble.boundary(BOUNDARY_PERCENTILE)[forecast_start : forecast_start + obs.shape[0]]
     if obs.shape != boundary.shape:
-        raise ValueError("observations must cover the forecast window exactly")
+        raise ValueError(f"observations of shape {obs.shape} do not fit the forecast rows {boundary.shape}")
     outliers = obs > boundary
     # +1 marks a run's first day, -1 the day after its last; nonzero() lists
     # both region by region in day order, so the k-th start and end pair up.

@@ -211,17 +211,19 @@ def _mle_bounds(ctx):
 def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
     """Maximize log-likelihood + log-prior in unconstrained space.
 
-    Quasi-Newton (L-BFGS-B) with the analytic gradient; returns the best
-    iterate and the trace of objective values.  Points where the covariance
-    fails to factor (or the value overflows) get a large finite penalty so
-    the line search backs off instead of crashing.
+    One bounded L-BFGS-B run with the analytic gradient, at most
+    `config.max_iters` iterations.  Returns the final iterate and scipy's
+    OptimizeResult, which says why the run stopped (`status`, `message`),
+    after how many iterations and evaluations (`nit`, `nfev`), and at which
+    objective (`fun`, the negated log-posterior).  Points where the
+    covariance fails to factor (or the value overflows) get a large finite
+    penalty so the line search backs off instead of crashing.
     """
     config = config or OptimizerConfig()
     if x0 is None:
         x0 = default_initial_guess(ctx)
-    trace = []
 
-    def evaluate(x):
+    def objective(x):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 v, g = ctx.logpost_and_grad(x, include_jacobian=False)
@@ -231,38 +233,13 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
             return _PENALTY, np.zeros_like(x)
         return -v, -g
 
-    # L-BFGS-B's first point repeats the start-point check, each callback repeats the
-    # iterate just evaluated, and a restart repeats the point the run before it ended
-    # on: remembering the last point evaluates each point once.
-    last = {}
-
-    def objective(x):
-        key = x.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = evaluate(x)
-        v, g = last[key]
-        return v, g.copy()  # the optimizer gets its own gradient array
-
     x = np.asarray(x0, dtype=float)
+    # L-BFGS-B clips a start outside the box, so only this check sees a bad one.
     if objective(x)[0] == _PENALTY:
         raise ValueError("non-finite objective or singular covariance at the MLE starting point")
-    options = {"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15}
-    bounds = _mle_bounds(ctx)
-    # A restart resets the Hessian approximation, which reliably drops the
-    # residual gradient after an ftol-triggered stop.
-    for _ in range(2):
-        res = minimize(
-            objective,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=lambda xk: trace.append(-objective(xk)[0]),
-            options=options,
-        )
-        x = res.x
-    return x, np.array(trace)
+    res = minimize(objective, x, jac=True, method="L-BFGS-B", bounds=_mle_bounds(ctx),
+                   options={"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15})
+    return res.x, res
 
 
 def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None, sigma0=0.01):

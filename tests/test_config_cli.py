@@ -235,7 +235,7 @@ class TestCliErrors:
                                       {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0},
                                       {"forecast_days": 0}, {"forecast_days": -5}, {"ppt_samples": 1},
                                       {"cluster_cut": -1}, {"cluster_cut": 0}, {"mcmc_draws": 10},
-                                      {"prior_t0_sd": 0}, {"incubation_sigma": 0}])
+                                      {"prior_t0_sd": 0}, {"incubation_sigma": 0}, {"quad_nodes": 8}])
     def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **edit)
@@ -409,14 +409,51 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
 
 
 def test_mcmc_chain_that_accepts_nothing_is_numerical_failure(tmp_path, capsys):
-    # On this config a 40-draw chain rejects every proposal from the MLE.
-    args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40)
+    # On this config a 40-draw chain rejects every proposal from the MLE, which max_iters lets converge.
+    args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40, max_iters=200)
     capsys.readouterr()
     assert main(["mcmc", *args]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "acceptance rate 0.000" in err and "mcmc_draws = 40" in err
     assert "StuckChainError" in (tmp_path / "diagnostics.txt").read_text()
     assert not (tmp_path / "chain_summary.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [{"fit_end": "2020-09-30"}, {"fit_start": "2020-05-01"}])
+def test_fit_window_the_cases_do_not_cover_is_data_error(tmp_path, capsys, edit):
+    # The cases run from 2020-06-01 to 2020-08-29.
+    args = _simulate_and_fit(tmp_path)
+    edited = _edited_config(Path(args[1]), tmp_path, **edit)
+    capsys.readouterr()
+    for command in ("fit", "forecast", "mcmc"):
+        assert main([command, "--config", str(edited), "--out", str(tmp_path / "refused")]) == 2, command
+        err = capsys.readouterr().err
+        assert "is not covered by" in err and "2020-06-01 to 2020-08-29" in err, command
+        assert f"{edit.get('fit_start', '2020-06-01')} to {edit.get('fit_end', '2020-08-15')}" in err, command
+    assert not (tmp_path / "refused" / "fit.json").exists()
+
+
+def test_forecast_runs_forecast_days_past_cases_that_end_with_the_fit(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path)
+    with open(tmp_path / "cases.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["date"] <= "2020-08-15"]
+    with open(tmp_path / "cases.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["date", "region_id", "count"])
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["fit", *args]) == 0
+    assert main(["forecast", *args]) == 0
+    with open(tmp_path / "forecast.csv", newline="") as fh:
+        dates = sorted({row["date"] for row in csv.DictReader(fh)})
+    assert dates[0] == "2020-06-01" and dates[-1] == "2020-08-29" and len(dates) == 76 + 14
+    capsys.readouterr()
+    # With no day observed after the fit there is nothing to detect or exceed, nor an ensemble to draw.
+    (tmp_path / "ensemble.npz").unlink()
+    for command in ("detect", "exceedance", "cluster"):
+        assert main([command, *args]) == 2, command
+        assert "holds no day after the fit window" in capsys.readouterr().err, command
+    assert not (tmp_path / "ensemble.npz").exists()
+    assert main(["crps", *args]) == 0
 
 
 def test_plot_writes_parseable_svgs(tmp_path):

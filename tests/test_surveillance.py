@@ -56,8 +56,18 @@ class TestDetect:
 
     def test_shape_mismatch_rejected(self):
         ens = ensemble_with_boundary(np.full((6, 2), 10.0))
-        with pytest.raises(ValueError):
-            detect(ens, np.zeros((4, 2)))
+        for obs, start in ((np.zeros((7, 2)), 0), (np.zeros((3, 2)), 4), (np.zeros((4, 3)), 0)):
+            with pytest.raises(ValueError):
+                detect(ens, obs, forecast_start=start)
+
+    def test_observations_shorter_than_the_forecast(self):
+        # Only the observed days are compared: rows forecast_start .. forecast_start + 2.
+        boundary = np.full((10, 1), 10.0)
+        boundary[7:] = 1000.0
+        ens = ensemble_with_boundary(boundary)
+        result = detect(ens, np.full((3, 1), 20.0), forecast_start=4)
+        assert result.outliers.shape == (3, 1) and result.outliers.all()
+        assert result.alarms == ((0, 2, 3),)
 
 
 def _loop_alarms(outliers, run_length=3):

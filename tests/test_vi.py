@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
-import epifield.vi
 from epifield import (
     OptimizerConfig,
     VariationalState,
@@ -17,7 +15,6 @@ from epifield.vi import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    _PENALTY,
     Adam,
     DivergenceError,
     _mle_bounds,
@@ -206,31 +203,37 @@ class TestMleFit:
         y_true = ctx.predictions(truth)
         ctx = type(ctx)(graph=ctx.graph, day_grid=ctx.day_grid, y_obs=y_true,
                         incubation=ctx.incubation, prior=ctx.prior)
-        xhat, trace = mle_fit(ctx)
+        xhat, _ = mle_fit(ctx)
         from epifield import ParamVector
         theta = ParamVector(values=ctx.transforms.forward(xhat), n_regions=1)
         y_fit = ctx.predictions(theta)
         rms = np.sqrt(np.mean((y_fit - y_true) ** 2)) / np.sqrt(np.mean(y_true**2))
         assert rms < 0.01
 
-    def test_stationarity_and_monotone_trace(self):
+    def test_stationarity(self):
         ctx, _ = make_context(n_regions=1, n_days=30, seed=22)
-        xhat, trace = mle_fit(ctx)
+        xhat, _ = mle_fit(ctx)
         _, g = ctx.logpost_and_grad(xhat, include_jacobian=False)
         # Variance-like parameters can sit on the search box boundary (e.g.
         # tau -> 0), so stationarity applies to the projected gradient.
-        from epifield.vi import _mle_bounds
         lo, hi = np.array(_mle_bounds(ctx)).T
         at_lo = np.isclose(xhat, lo) & (g < 0)
         at_hi = np.isclose(xhat, hi) & (g > 0)
         g = np.where(at_lo | at_hi, 0.0, g)
         scale = max(1.0, abs(ctx.logpost(xhat, include_jacobian=False)))
         assert np.linalg.norm(g) / scale < 1e-3
-        # Smoothed (window up to 50) objective sequence is nondecreasing.
-        if trace.size > 2:
-            w = min(50, max(2, trace.size // 2))
-            sm = np.convolve(trace, np.ones(w) / w, mode="valid")
-            assert np.all(np.diff(sm) > -1e-6 * np.abs(sm[:-1]))
+
+    def test_reports_the_run(self):
+        ctx, _ = make_context(3, 60, seed=24)
+        xhat, res = mle_fit(ctx, OptimizerConfig(max_iters=5))
+        # max_iters bounds the one run: it stops on the bound and says so.
+        assert res.status == 1 and res.nit == 5
+        assert "ITERATIONS" in res.message
+        assert np.array_equal(res.x, xhat)
+        assert res.fun == pytest.approx(-ctx.logpost(xhat, include_jacobian=False), rel=1e-12)
+        _, converged = mle_fit(ctx)
+        assert converged.success and converged.nit < OptimizerConfig().max_iters
+        assert converged.fun < res.fun
 
     def test_rejects_nonfinite_start(self):
         ctx, _ = make_context(n_regions=1, n_days=20, seed=23)
@@ -240,54 +243,17 @@ class TestMleFit:
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         ctx, _ = make_context(3, 60, seed=24)
-        evals, results = [], []
-        real_eval, real_minimize = type(ctx).logpost_and_grad, epifield.vi.minimize
+        evals = []
+        real_eval = type(ctx).logpost_and_grad
 
         def counting_eval(self, x, include_jacobian=True):
             evals.append(1)
             return real_eval(self, x, include_jacobian)
 
-        def recording_minimize(*args, **kwargs):
-            results.append(real_minimize(*args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(type(ctx), "logpost_and_grad", counting_eval)
-        monkeypatch.setattr(epifield.vi, "minimize", recording_minimize)
-        mle_fit(ctx)
-        # Each restart after the first starts where the one before it ended.
-        assert len(evals) == sum(res.nfev for res in results) - (len(results) - 1)
-
-    def test_matches_the_reevaluating_loop(self):
-        ctx, _ = make_context(3, 60, seed=24)
-        x, trace = mle_fit(ctx)
-        x_ref, trace_ref = _reevaluating_mle_fit(ctx)
-        assert x.tobytes() == x_ref.tobytes()
-        assert trace.tobytes() == trace_ref.tobytes()
-
-
-def _reevaluating_mle_fit(ctx, config=OptimizerConfig()):
-    """mle_fit as it was before it remembered its last point: the start check, every
-    callback and the restart evaluate the objective again."""
-    trace = []
-
-    def objective(x):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                v, g = ctx.logpost_and_grad(x, include_jacobian=False)
-            except (ValueError, np.linalg.LinAlgError):
-                return _PENALTY, np.zeros_like(x)
-        if not (np.isfinite(v) and np.all(np.isfinite(g))):
-            return _PENALTY, np.zeros_like(x)
-        return -v, -g
-
-    x = np.asarray(default_initial_guess(ctx), dtype=float)
-    assert objective(x)[0] != _PENALTY
-    options = {"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15}
-    for _ in range(2):
-        res = minimize(objective, x, jac=True, method="L-BFGS-B", bounds=_mle_bounds(ctx),
-                       callback=lambda xk: trace.append(-objective(xk)[0]), options=options)
-        x = res.x
-    return x, np.array(trace)
+        _, res = mle_fit(ctx)
+        # The start-point check, then each of L-BFGS-B's evaluations.
+        assert len(evals) == res.nfev + 1
 
 
 class TestFitMfvi:
