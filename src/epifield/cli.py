@@ -109,9 +109,9 @@ def _inputs(cfg):
     if raw.dates[0] > cfg.fit_start_date or raw.dates[-1] < cfg.fit_end_date:
         raise ValueError(f"the fit window {cfg.fit_start} to {cfg.fit_end} is not covered by {cfg.cases_csv}, "
                          f"which holds {raw.dates[0]} to {raw.dates[-1]}")
-    series = smooth(raw, cfg.smoothing_window) if cfg.smoothing_window > 1 else raw
+    series = smooth(raw, cfg.smoothing_window)
     window = series.window(cfg.fit_start_date, cfg.fit_end_date)
-    ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.reference), y_obs=window.counts,
+    ctx = ModelContext(graph=graph, day_grid=window.day_offsets(cfg.fit_start_date), y_obs=window.counts,
                        incubation=cfg.incubation, prior=cfg.prior, quad_nodes=cfg.quad_nodes)
     return _Inputs(graph, series, ctx, window, data_hash)
 
@@ -141,9 +141,19 @@ def _forecast_observations(cfg, series):
                          cfg.fit_end_date + dt.timedelta(days=cfg.forecast_days))
 
 
+def _mle_start(inputs, cfg):
+    """The MLE point that fit and mcmc start from; prints how its L-BFGS-B run ended."""
+    x0, res = mle_fit(inputs.ctx, cfg.optimizer)
+    line = f"MLE start: {res.message} (nit {res.nit}, nfev {res.nfev})"
+    if res.status == 1:
+        line += f"; the iteration bound max_iters = {cfg.max_iters} stopped it"
+    print(line)
+    return x0
+
+
 def cmd_fit(args, cfg):
     inputs = _inputs(cfg)
-    state, trace = fit_mfvi(inputs.ctx, cfg.optimizer)
+    state, trace = fit_mfvi(inputs.ctx, cfg.optimizer, mu0=_mle_start(inputs, cfg))
     outdir = Path(args.out)
     _write_csv(outdir / "trace.csv", ["iteration", "elbo", "grad_norm", "seconds", "n_samples"],
                zip(trace.iterations, trace.elbo, trace.grad_norm, trace.wall_time, trace.n_samples))
@@ -193,8 +203,7 @@ def _ensemble_for(cfg, args, inputs, reuse=True):
     `reuse=False` always draws.
     """
     state, fit_bytes = _load_fit(inputs, args)
-    fit_grid = inputs.ctx.day_grid
-    grid = np.concatenate([fit_grid, fit_grid[-1] + 1 + np.arange(cfg.forecast_days)])
+    grid = np.arange(inputs.window.n_days + cfg.forecast_days, dtype=float)
     path = Path(args.out) / "ensemble.npz"
     key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
     ensemble = _read_ensemble_npz(path, key) if reuse else None
@@ -208,7 +217,7 @@ def cmd_forecast(args, cfg):
     inputs = _inputs(cfg)
     ensemble = _ensemble_for(cfg, args, inputs, reuse=False)
     outdir = Path(args.out)
-    dates = [(cfg.reference + dt.timedelta(days=int(d))).isoformat() for d in ensemble.day_grid]
+    dates = [(cfg.fit_start_date + dt.timedelta(days=int(d))).isoformat() for d in ensemble.day_grid]
     bands = ensemble.bands()
     # (N_days, R, 6): the noisy-sample bands, then the push-forward median.
     columns = np.stack([*bands.values(), np.percentile(ensemble.pushforward, 50, axis=0)], axis=-1)
@@ -241,19 +250,21 @@ def cmd_detect(args, cfg):
 
 
 def _exceedance_map(cfg, args):
-    """The graph and the exceedance map over the first n_smooth observed forecast days."""
+    """The graph and the exceedance map over the first n_smooth observed forecast days, whose count it prints."""
     inputs = _inputs(cfg)
     obs = _forecast_observations(cfg, inputs.series)
     ensemble = _ensemble_for(cfg, args, inputs)
-    n_smooth = min(cfg.n_smooth, obs.n_days)
-    return inputs.graph, exceedance(ensemble, obs.counts, start=inputs.window.n_days, n_smooth=n_smooth)
+    emap = exceedance(ensemble, obs.counts, forecast_start=inputs.window.n_days, n_smooth=cfg.n_smooth)
+    n_days = int(emap.days[0] + emap.excluded_days[0])
+    print(f"exceedance ratios averaged over the first {n_days} observed forecast day(s) (n_smooth {cfg.n_smooth})")
+    return inputs.graph, emap
 
 
 def cmd_exceedance(args, cfg):
     graph, emap = _exceedance_map(cfg, args)
-    _write_csv(Path(args.out) / "exceedance.csv", ["region_id", "mean_exceedance", "excluded_days"],
-               ([rid, f"{m:.9g}", int(n)]
-                for rid, m, n in zip(graph.region_ids, emap.mean_exceedance, emap.excluded_days)))
+    _write_csv(Path(args.out) / "exceedance.csv", ["region_id", "mean_exceedance", "excluded_days", "days"],
+               ([rid, f"{m:.9g}", int(n), int(d)]
+                for rid, m, n, d in zip(graph.region_ids, emap.mean_exceedance, emap.excluded_days, emap.days)))
     print(f"exceedance written to {Path(args.out) / 'exceedance.csv'}")
     return 0
 
@@ -274,15 +285,14 @@ def cmd_cluster(args, cfg):
 def cmd_crps(args, cfg):
     inputs = _inputs(cfg)
     ensemble = _ensemble_for(cfg, args, inputs)
-    window = inputs.window
-    c, C = crps(ensemble, window.counts, day_slice=slice(0, window.n_days))
-    T = window.counts.sum(axis=0)
+    c, C = crps(ensemble, inputs.window.counts)
+    T = inputs.window.counts.sum(axis=0)
     fit = crps_ratio_and_fit(C, T)
     _write_csv(Path(args.out) / "crps.csv", ["region_id", "crps", "total_cases", "rho"],
                ([rid, *(f"{v:.9g}" for v in values)]
                 for rid, values in zip(inputs.graph.region_ids, np.column_stack([C, T, fit["rho"]]))))
-    if fit["n_excluded"]:
-        excluded = [rid for rid, rho in zip(inputs.graph.region_ids, fit["rho"]) if np.isnan(rho)]
+    excluded = [rid for rid, rho in zip(inputs.graph.region_ids, fit["rho"]) if np.isnan(rho)]
+    if excluded:
         print(f"excluded {len(excluded)} region(s) with no cases in the fit window: {', '.join(excluded)}")
     if fit["not_fitted"]:
         print(f"crps written; log-rho vs log-T slope not fitted: {fit['not_fitted']}")
@@ -293,8 +303,7 @@ def cmd_crps(args, cfg):
 
 def cmd_mcmc(args, cfg):
     inputs = _inputs(cfg)
-    x0, _ = mle_fit(inputs.ctx, cfg.optimizer)
-    chain = run_amcmc(inputs.ctx, x0, cfg.amcmc)
+    chain = run_amcmc(inputs.ctx, _mle_start(inputs, cfg), cfg.amcmc)
     if chain.acceptance_rate == 0:
         raise StuckChainError("the chain accepted no proposal: acceptance rate 0.000 over "
                               f"mcmc_draws = {cfg.mcmc_draws}; raise mcmc_draws")
@@ -310,13 +319,12 @@ def cmd_mcmc(args, cfg):
 
 def cmd_simulate(args, cfg):
     graph = _load_graph(cfg)
-    start_off = (cfg.fit_start_date - cfg.reference).days
-    end_off = (cfg.fit_end_date - cfg.reference).days
-    day_grid = np.arange(start_off, end_off + cfg.forecast_days + 1, dtype=float)
+    end_off = (cfg.fit_end_date - cfg.fit_start_date).days
+    day_grid = np.arange(end_off + cfg.forecast_days + 1, dtype=float)
     regions = []
     for r in range(graph.n_regions):
         pop = graph.populations[r] if graph.populations.size else 50000.0
-        regions.append(RegionParams(t0=start_off - 10.0, N=max(200.0, 0.01 * pop), k=3.0, theta=7.0))
+        regions.append(RegionParams(t0=-10.0, N=max(200.0, 0.01 * pop), k=3.0, theta=7.0))
     truth = ParamVector.from_parts(regions, NoiseParams(tau_phi=1.0, lambda_phi=0.5, sigma_a=1.0, sigma_m=0.1))
     counts, _ = synthetic_counts(truth, graph, cfg.incubation, day_grid, seed=cfg.seed, quad_nodes=cfg.quad_nodes)
     second_wave = None
@@ -326,7 +334,7 @@ def cmd_simulate(args, cfg):
         counts = counts + predict_regions(ParamVector.from_parts(waves, truth.noise), cfg.incubation, day_grid,
                                           cfg.quadrature)
         second_wave = {"amplitude": args.second_wave, "t0": float(end_off), "k": 2.0, "theta": 3.0}
-    dates = tuple(cfg.reference + dt.timedelta(days=int(d)) for d in day_grid)
+    dates = tuple(cfg.fit_start_date + dt.timedelta(days=int(d)) for d in day_grid)
     outdir = Path(args.out)
     write_cases_csv(CaseData(dates=dates, counts=counts, region_ids=graph.region_ids), outdir / "cases.csv")
     truth_doc = {

@@ -29,6 +29,10 @@ _PARTS = (
 )
 
 
+# The JSON type each kind of config key takes, as refusals name it.
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", tuple: "a list of strings"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The pipeline's settings; `incubation`, `quadrature`, `prior`, `optimizer` and `amcmc`
@@ -38,8 +42,7 @@ class RunConfig:
     cases_csv: str = "cases.csv"
     regions_csv: str = "regions.csv"
     edges_csv: str = "edges.csv"
-    # Time axis
-    reference_date: str = "2020-06-01"
+    # Time axis: day 0 is fit_start
     fit_start: str = "2020-06-01"
     fit_end: str = "2020-09-15"
     forecast_days: int = 14
@@ -86,7 +89,8 @@ class RunConfig:
 
     @property
     def reference(self) -> dt.date:
-        return dt.date.fromisoformat(self.reference_date)
+        """The date of day 0: the fit start."""
+        return self.fit_start_date
 
     @property
     def fit_start_date(self) -> dt.date:
@@ -107,9 +111,19 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        unknown = set(doc) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in doc.items():
+            # Each key takes its default's JSON type: a float key also takes an int, and no key a bool.
+            kind = type(fields[key].default)
+            if kind is tuple:
+                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            else:
+                ok = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+            if not ok:
+                raise ValueError(f"config key {key} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
         if "regions" in doc:
             doc["regions"] = tuple(doc["regions"])
         return cls(**doc)
@@ -127,7 +141,7 @@ class RunConfig:
 # the optimizer (seed included) and the region subset.  Forecast,
 # surveillance and scoring knobs are not among them, so editing those keeps fit.json.
 FIT_FIELDS = (
-    "reference_date", "fit_start", "fit_end",
+    "fit_start", "fit_end",
     "smoothing_window",
     "quad_nodes", "incubation_mu", "incubation_sigma", "prior_t0_mean", "prior_t0_sd",
     *OPTIMIZER_FIELDS,

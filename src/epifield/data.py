@@ -43,9 +43,9 @@ class CaseData:
     def n_days(self):
         return len(self.dates)
 
-    def day_offsets(self, reference_date):
-        """Integer day offsets of the date axis from reference_date."""
-        return np.array([(d - reference_date).days for d in self.dates], dtype=float)
+    def day_offsets(self, day0):
+        """Integer day offsets of the date axis from the date day0."""
+        return np.array([(d - day0).days for d in self.dates], dtype=float)
 
     def window(self, start, end):
         """Rows with start <= date <= end."""

@@ -40,9 +40,18 @@ class ForecastEnsemble:
         values = np.percentile(self.samples, PERCENTILES, axis=0)
         return {f"p{p:02d}": values[i] for i, p in enumerate(PERCENTILES)}
 
-    def boundary(self, q=99.0):
-        """Per region-day outlier boundary: the q-th percentile of noisy samples."""
-        return np.percentile(self.samples, q, axis=0)
+    def samples_for(self, observations, start=0):
+        """The noisy samples (J, n, R) on the n rows that observations (n, R) cover from row `start`.
+
+        Observations that run past the last row, or whose region count differs, are refused.
+        """
+        shape = np.shape(observations)
+        n_days, n_regions = self.samples.shape[1:]
+        if len(shape) != 2 or shape[1] != n_regions:
+            raise ValueError(f"observations of shape {shape} do not have the ensemble's {n_regions} region(s)")
+        if start < 0 or start + shape[0] > n_days:
+            raise ValueError(f"{shape[0]} observed day(s) from row {start} run past the ensemble's {n_days} rows")
+        return self.samples[:, start : start + shape[0]]
 
 
 def _draw_unconstrained(source, rng):
@@ -112,25 +121,20 @@ def crps_samples(samples, y_obs):
     return float(_crps_energy(np.asarray(samples, dtype=float), y_obs))
 
 
-def crps(ensemble: ForecastEnsemble, observations, day_slice=None):
-    """Per-day CRPS c[i, r] and per-region means C_r over the scored window."""
+def crps(ensemble: ForecastEnsemble, observations):
+    """Per-day CRPS c[i, r] and per-region means C_r of observations (n, R) against ensemble rows 0 to n - 1."""
     obs = np.asarray(observations, dtype=float)
-    samples = ensemble.samples
-    if day_slice is not None:
-        samples = samples[:, day_slice, :]
-    if obs.shape != samples.shape[1:]:
-        raise ValueError("observation shape must match the scored window")
-    c = _crps_energy(samples, obs)
+    c = _crps_energy(ensemble.samples_for(obs), obs)
     return c, c.mean(axis=0)
 
 
 def crps_ratio_and_fit(C, T):
     """Ratios rho_r = C_r / T_r and the OLS fit of log(rho) on log(T).
 
-    Regions with zero case totals are excluded: their rho is NaN and the
-    result counts them (`n_excluded`).  Returns a dict with rho, slope,
-    intercept and `not_fitted`: None, or why there was no fit (fewer than 2
-    distinct positive totals), in which case slope and intercept are None.
+    Regions with zero case totals are excluded: their rho is NaN.  Returns
+    a dict with rho, slope, intercept and `not_fitted`: None, or why there
+    was no fit (fewer than 2 distinct positive totals), in which case slope
+    and intercept are None.
     Raises ValueError when no region has a positive total.
     """
     C = np.asarray(C, dtype=float)
@@ -152,5 +156,4 @@ def crps_ratio_and_fit(C, T):
         "slope": slope,
         "intercept": intercept,
         "not_fitted": not_fitted,
-        "n_excluded": int((~keep).sum()),
     }

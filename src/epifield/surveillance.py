@@ -30,6 +30,7 @@ class DetectionResult:
 class ExceedanceMap:
     mean_exceedance: np.ndarray  # (R,)
     excluded_days: np.ndarray  # (R,) count of days dropped from the mean
+    days: np.ndarray  # (R,) count of days averaged
 
 
 def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
@@ -39,10 +40,7 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
     forecast_start, forecast_start + 1, ... of the ensemble's day axis.
     """
     obs = np.asarray(observations, dtype=float)
-    boundary = ensemble.boundary(BOUNDARY_PERCENTILE)[forecast_start : forecast_start + obs.shape[0]]
-    if obs.shape != boundary.shape:
-        raise ValueError(f"observations of shape {obs.shape} do not fit the forecast rows {boundary.shape}")
-    outliers = obs > boundary
+    outliers = obs > np.percentile(ensemble.samples_for(obs, forecast_start), BOUNDARY_PERCENTILE, axis=0)
     # +1 marks a run's first day, -1 the day after its last; nonzero() lists
     # both region by region in day order, so the k-th start and end pair up.
     padded = np.zeros((obs.shape[0] + 2, obs.shape[1]), dtype=np.int8)
@@ -58,26 +56,22 @@ def detect(ensemble: ForecastEnsemble, observations, forecast_start=0):
     return DetectionResult(outliers=outliers, alarms=alarms)
 
 
-def exceedance(ensemble: ForecastEnsemble, observations, start=0, *, n_smooth):
-    """Per region, the mean over n_smooth days of the exceedance ratio observed / boundary.
+def exceedance(ensemble: ForecastEnsemble, observations, forecast_start=0, *, n_smooth):
+    """Per region, the mean of the exceedance ratio observed / boundary over
+    the first n_smooth observed days, or all of them when fewer were observed.
 
-    Days with a nonpositive boundary (possible when negative noise
-    percentiles meet near-zero predictions) are excluded from the mean and
-    counted per region.
+    The observed days line up with the ensemble rows as in `detect`.  Days
+    with a nonpositive boundary (possible when negative noise percentiles
+    meet near-zero predictions) are excluded from the mean and counted per
+    region.
     """
-    obs = np.asarray(observations, dtype=float)
-    boundary = ensemble.boundary(BOUNDARY_PERCENTILE)[start : start + n_smooth]
-    window = obs[:n_smooth] if obs.shape[0] >= n_smooth else obs
-    if window.shape != boundary.shape:
-        raise ValueError(f"need {boundary.shape[0]} observation days from the window start")
+    obs = np.asarray(observations, dtype=float)[:n_smooth]
+    boundary = np.percentile(ensemble.samples_for(obs, forecast_start), BOUNDARY_PERCENTILE, axis=0)
     usable = boundary > 0
-    gamma = np.where(usable, window / np.where(usable, boundary, 1.0), np.nan)
+    gamma = np.where(usable, obs / np.where(usable, boundary, 1.0), np.nan)
     counts = usable.sum(axis=0)
     mean = np.where(counts > 0, np.nansum(gamma, axis=0) / np.maximum(counts, 1), np.nan)
-    return ExceedanceMap(
-        mean_exceedance=mean,
-        excluded_days=(~usable).sum(axis=0),
-    )
+    return ExceedanceMap(mean_exceedance=mean, excluded_days=(~usable).sum(axis=0), days=counts)
 
 
 def zscore_features(features):

@@ -235,7 +235,9 @@ class TestCliErrors:
                                       {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0},
                                       {"forecast_days": 0}, {"forecast_days": -5}, {"ppt_samples": 1},
                                       {"cluster_cut": -1}, {"cluster_cut": 0}, {"mcmc_draws": 10},
-                                      {"prior_t0_sd": 0}, {"incubation_sigma": 0}, {"quad_nodes": 8}])
+                                      {"prior_t0_sd": 0}, {"incubation_sigma": 0}, {"quad_nodes": 8},
+                                      {"fit_start": 0}, {"max_iters": "5"}, {"n_smooth": 2.5}, {"seed": "1"},
+                                      {"regions": "bernalillo"}])
     def test_invalid_setting_is_data_error(self, pipeline, tmp_path, capsys, edit):
         _, cfg_path, _ = pipeline
         edited = _edited_config(cfg_path, tmp_path, **edit)
@@ -254,6 +256,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("key, value", [
         ("grad_tol", 0), ("beta1", 0.9), ("include_jacobian_entropy", True), ("detect_on_raw", False),
         ("crps_on_raw", False), ("cluster_linkage", "complete"), ("cluster_cut_mode", "fraction"),
+        ("reference_date", "2020-06-01"),
     ])
     def test_removed_setting_is_refused(self, pipeline, tmp_path, capsys, key, value):
         _, cfg_path, _ = pipeline
@@ -409,7 +412,7 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
 
 
 def test_mcmc_chain_that_accepts_nothing_is_numerical_failure(tmp_path, capsys):
-    # On this config a 40-draw chain rejects every proposal from the MLE, which max_iters lets converge.
+    # On this config a 40-draw chain rejects every proposal from a 200-iteration MLE.
     args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40, max_iters=200)
     capsys.readouterr()
     assert main(["mcmc", *args]) == 3
@@ -454,6 +457,50 @@ def test_forecast_runs_forecast_days_past_cases_that_end_with_the_fit(tmp_path, 
         assert "holds no day after the fit window" in capsys.readouterr().err, command
     assert not (tmp_path / "ensemble.npz").exists()
     assert main(["crps", *args]) == 0
+
+
+def test_day_zero_is_the_fit_start(tmp_path):
+    args = _simulate_and_fit(tmp_path, fit_start="2020-07-01")
+    cfg = RunConfig.load(args[1])
+    assert epifield.cli._inputs(cfg).ctx.day_grid[0] == 0
+    # The simulated onsets sit where the t0 prior centres them, relative to the fit start.
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    t0 = [v for name, v in zip(truth["names"], truth["values"]) if name.startswith("t0[")]
+    assert t0 == [cfg.prior_t0_mean] * 2
+    assert main(["forecast", *args]) == 0
+    with open(tmp_path / "forecast.csv", newline="") as fh:
+        dates = sorted({row["date"] for row in csv.DictReader(fh)})
+    assert dates[0] == "2020-07-01" and dates[-1] == "2020-08-29"
+    assert _npz_arrays(tmp_path / "ensemble.npz")["day_grid"][0] == 0
+
+
+def test_fit_and_mcmc_say_how_the_mle_start_ended(tmp_path, capsys):
+    args = _simulate_and_fit(tmp_path, mcmc_draws=1000)  # fits at max_iters 5
+    fit_out = capsys.readouterr().out
+    assert main(["mcmc", *args]) == 0
+    for out in (fit_out, capsys.readouterr().out):
+        line = next(line for line in out.splitlines() if line.startswith("MLE start: "))
+        assert "ITERATIONS REACHED LIMIT (nit 5, nfev " in line
+        assert line.endswith("; the iteration bound max_iters = 5 stopped it")
+
+
+def test_exceedance_says_how_many_days_each_mean_covers(tmp_path, capsys):
+    # Cases cut 3 days after the fit end: the means cover those 3 days of n_smooth 14.
+    args = _simulate_and_fit(tmp_path)
+    with open(tmp_path / "cases.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["date"] <= "2020-08-18"]
+    with open(tmp_path / "cases.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["date", "region_id", "count"])
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["fit", *args]) == 0
+    for command in ("exceedance", "cluster"):
+        capsys.readouterr()
+        assert main([command, *args]) == 0
+        assert "averaged over the first 3 observed forecast day(s) (n_smooth 14)" in capsys.readouterr().out
+    with open(tmp_path / "exceedance.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["days"], r["excluded_days"]) for r in rows] == [("3", "0")] * 2
 
 
 def test_plot_writes_parseable_svgs(tmp_path):

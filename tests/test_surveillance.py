@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epifield import ForecastEnsemble, cluster_regions, detect, exceedance, zscore_features
+from epifield import ForecastEnsemble, cluster_regions, crps, detect, exceedance, zscore_features
 
 
 def ensemble_with_boundary(boundary, n_samples=200):
@@ -111,7 +111,7 @@ def test_alarms_match_the_loop_oracle():
 class TestExceedance:
     def test_observed_equals_boundary(self):
         ens = ensemble_with_boundary(np.full((14, 3), 25.0))
-        obs = ens.boundary(99.0)
+        obs = np.percentile(ens.samples, 99, axis=0)
         emap = exceedance(ens, obs, n_smooth=14)
         assert np.allclose(emap.mean_exceedance, 1.0, rtol=1e-9)
         assert np.all(emap.excluded_days == 0)
@@ -129,7 +129,38 @@ class TestExceedance:
         emap = exceedance(ens, np.full((4, 1), 5.0), n_smooth=4)
         assert emap.excluded_days[0] == 1
         # Days 0, 2 and 3 share one boundary; day 1's ratio (5 / -5) would pull the mean down.
-        assert emap.mean_exceedance[0] == pytest.approx(5.0 / ens.boundary(99.0)[0, 0], rel=1e-12)
+        assert emap.mean_exceedance[0] == pytest.approx(5.0 / np.percentile(ens.samples, 99, axis=0)[0, 0], rel=1e-12)
+
+    def test_fewer_observed_days_than_n_smooth(self):
+        # 3 observed days from row 4 of a 20-row ensemble: the mean covers those 3 and says so.
+        boundary = np.full((20, 2), 10.0)
+        boundary[7:] = 1000.0
+        ens = ensemble_with_boundary(boundary)
+        obs = np.array([[10.0, 20.0], [20.0, 20.0], [30.0, 20.0]])
+        emap = exceedance(ens, obs, forecast_start=4, n_smooth=14)
+        ratio = obs / np.percentile(ens.samples, 99, axis=0)[4:7]
+        assert np.array_equal(emap.mean_exceedance, ratio.mean(axis=0))
+        assert np.array_equal(emap.days, [3, 3]) and np.array_equal(emap.excluded_days, [0, 0])
+
+    def test_truncates_to_n_smooth(self):
+        ens = ensemble_with_boundary(np.full((10, 1), 10.0))
+        obs = np.vstack([np.full((4, 1), 5.0), np.full((6, 1), 1e6)])
+        emap = exceedance(ens, obs, n_smooth=4)
+        assert emap.mean_exceedance[0] == pytest.approx(5.0 / np.percentile(ens.samples, 99, axis=0)[0, 0], rel=1e-12)
+        assert emap.days[0] == 4
+
+
+@pytest.mark.parametrize("score", [
+    lambda ens, obs: detect(ens, obs),
+    lambda ens, obs: exceedance(ens, obs, n_smooth=14),
+    crps,
+], ids=["detect", "exceedance", "crps"])
+def test_observations_past_the_ensemble_or_of_another_width_are_refused(score):
+    ens = ensemble_with_boundary(np.full((6, 2), 10.0))
+    with pytest.raises(ValueError, match="7 observed day.* from row 0 run past the ensemble's 6 rows"):
+        score(ens, np.zeros((7, 2)))
+    with pytest.raises(ValueError, match="do not have the ensemble's 2 region"):
+        score(ens, np.zeros((3, 3)))
 
 
 class TestZscore:
