@@ -144,7 +144,7 @@ def _forecast_observations(cfg, series):
 def _mle_start(inputs, cfg):
     """The MLE point that fit and mcmc start from; prints how its L-BFGS-B run ended."""
     x0, res = mle_fit(inputs.ctx, cfg.optimizer)
-    line = f"MLE start: {res.message} (nit {res.nit}, nfev {res.nfev})"
+    line = f"MLE start: {res.message} (status {res.status}, nit {res.nit}, nfev {res.nfev})"
     if res.status == 1:
         line += f"; the iteration bound max_iters = {cfg.max_iters} stopped it"
     print(line)

@@ -149,9 +149,9 @@ FIT_FIELDS = (
 )
 
 
-# The fields the posterior-predictive ensemble reads beyond the fit: its length,
-# size and draw seed.  Its key binds these and fit.json's bytes, which bind the rest.
-ENSEMBLE_FIELDS = ("forecast_days", "ppt_samples", "seed")
+# The fields the posterior-predictive ensemble reads beyond the fit: its length and size.
+# Its key binds these and fit.json's bytes, which bind the rest, the draw seed among them.
+ENSEMBLE_FIELDS = ("forecast_days", "ppt_samples")
 
 
 def content_hash(config: RunConfig, *inputs: bytes, fields=None) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .likelihood import correlated_noise
 from .mcmc import ChainState
+from .model import _checked_day_grid
 from .params import ParamVector
 from .posterior import ModelContext
 from .vi import VariationalState
@@ -74,7 +75,8 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     if n_samples < 2:
         raise ValueError("at least 2 ensemble members required")
     rng = np.random.default_rng(seed)
-    day_grid = np.asarray(day_grid, dtype=float)
+    # Checked before the draws, so the retries below only ever see numerical failures.
+    day_grid = _checked_day_grid(day_grid)
     tf = ctx.transforms
     samples = np.empty((n_samples, day_grid.size, ctx.n_regions))
     pushforward = np.empty_like(samples)

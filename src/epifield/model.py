@@ -26,6 +26,8 @@ import numpy as np
 from scipy.special import digamma, erfc, gammaln
 
 DEFAULT_QUAD_NODES = 64
+# QuadratureRule.gauss_legendre's rules by node count.
+_GAUSS_LEGENDRE = {}
 
 # Incubation-window table: cells per day (step h = 1/32) and the largest table built.
 _WINDOW_CELLS_PER_DAY = 32
@@ -68,12 +70,6 @@ class IncubationParams:
             raise ValueError("incubation sigma must be positive")
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on an integration interval."""
@@ -87,11 +83,15 @@ class QuadratureRule:
 
     @classmethod
     def gauss_legendre(cls, n=DEFAULT_QUAD_NODES):
-        """Reference rule on [-1, 1]."""
+        """Reference rule on [-1, 1]: one shared instance per node count, with read-only arrays."""
         if n < 16:
             raise ValueError(f"at least 16 quadrature nodes required, got {n}")
-        nodes, weights = _leggauss(n)
-        return cls(nodes=nodes, weights=weights)
+        if n not in _GAUSS_LEGENDRE:
+            rule = cls(*np.polynomial.legendre.leggauss(n))
+            for a in (rule.nodes, rule.weights, *rule._node_terms):
+                a.flags.writeable = False
+            _GAUSS_LEGENDRE[n] = rule
+        return _GAUSS_LEGENDRE[n]
 
     @cached_property
     def _node_terms(self):
@@ -139,18 +139,12 @@ def incubation_pdf(t, inc: IncubationParams):
     return out if out.ndim else float(out)
 
 
-def _day_quadrature(p: RegionParams, day_grid, quad: QuadratureRule):
-    """Each day's interval length and the unit nodes, as (d, c, active).
-
-    Day i's rule on [t0, t_i] has nodes t0 + c_j d_i, with d_i = t_i - t0 and
-    c_j = (x_j + 1)/2, and weights d_i w_j / 2.  Inactive days (t_i <= t0)
-    get d_i = 1.
-    """
-    day_grid = np.asarray(day_grid, dtype=float)
-    if day_grid.ndim != 1 or np.any(day_grid[1:] <= day_grid[:-1]):
+def _checked_day_grid(day_grid):
+    """day_grid as a float array; ValueError unless it is 1-D and strictly increasing."""
+    grid = np.asarray(day_grid, dtype=float)
+    if grid.ndim != 1 or not np.all(grid[1:] > grid[:-1]):
         raise ValueError("day_grid must be a strictly increasing 1-D array")
-    active = day_grid > p.t0
-    return np.where(active, day_grid - p.t0, 1.0), quad._node_terms[0], active
+    return grid
 
 
 @lru_cache(maxsize=8)
@@ -222,10 +216,13 @@ def _incubation_window(r, inc: IncubationParams, with_grad):
 def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad):
     """The daily convolution y, and with_grad its partials: y or (y, grad).
 
-    The kernel is separable in day and node.  Node j of day i sits at
-    offset u_ij = c_j d_i after onset and window argument r_ij = d_i (1 - c_j)
-    (`_day_quadrature`).  r = 0 on inactive days, where G(0) = G'(0) = 0, so
-    their y and partials come out as exact zeros.  The log of the rate is
+    day_grid is a float array that `_checked_day_grid` has passed.  Day i's
+    rule on [t0, t_i] has nodes t0 + c_j d_i and weights d_i w_j / 2, with
+    d_i = t_i - t0 and c_j = (x_j + 1)/2; inactive days (t_i <= t0) get d_i = 1.
+    The kernel is separable in day and node: node j of day i sits at offset
+    u_ij = c_j d_i after onset and window argument r_ij = d_i (1 - c_j).  r = 0
+    on inactive days, where G(0) = G'(0) = 0, so their y and partials come out
+    as exact zeros.  The log of the rate is
 
         log f_ij = alpha_i + (k - 1) log c_j - (d_i / theta) c_j,
         alpha_i = -k log theta - lgamma(k) + (k - 1) log d_i,
@@ -244,8 +241,9 @@ def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadrature
     1-40 with t0 in [-15, -2], but reaches 9.3e-6 on days 1-107 with t0 in
     [-60, -2].
     """
-    d, c, active = _day_quadrature(p, day_grid, quad)
-    _, one_minus_c, log_c, w_logc_c, w_one_minus_c = quad._node_terms
+    c, one_minus_c, log_c, w_logc_c, w_one_minus_c = quad._node_terms
+    active = day_grid > p.t0
+    d = np.where(active, day_grid - p.t0, 1.0)
     k, theta, w = p.k, p.theta, quad.weights
     log_d = np.log(d)
     f = np.multiply.outer(d / -theta, c)
@@ -277,7 +275,7 @@ def predict_daily(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadra
 
     Days at or before t0 contribute zero; all outputs are nonnegative.
     """
-    return _convolve(p, inc, day_grid, quad, with_grad=False)
+    return _convolve(p, inc, _checked_day_grid(day_grid), quad, with_grad=False)
 
 
 def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule):
@@ -293,4 +291,4 @@ def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: Q
     Returns (y, grad) with grad of shape (len(day_grid), 4) in the order
     (t0, N, k, theta); y equals predict_daily exactly.
     """
-    return _convolve(p, inc, day_grid, quad, with_grad=True)
+    return _convolve(p, inc, _checked_day_grid(day_grid), quad, with_grad=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import RegionGraph
 from .likelihood import log_likelihood, log_likelihood_and_grad
-from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, _window_table, predict_daily, predict_daily_grad
+from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule, _checked_day_grid, _convolve, _window_table
 from .params import ParamVector, PriorSpec, TransformSpec, dim_for, log_prior
 
 
@@ -34,8 +34,8 @@ class ModelContext:
 
     `logpost(x, include_jacobian=True)` and `logpost_and_grad(x, include_jacobian=True)`
     evaluate the log-posterior at the unconstrained x, with the transform's
-    log-Jacobian unless `include_jacobian` is False.  `quad`, the Gauss-Legendre
-    rule of `quad_nodes` nodes, is built at construction.
+    log-Jacobian unless `include_jacobian` is False.  `quad` is the shared
+    Gauss-Legendre rule of `quad_nodes` nodes.
     """
 
     graph: RegionGraph
@@ -46,15 +46,14 @@ class ModelContext:
     quad_nodes: int = DEFAULT_QUAD_NODES
 
     def __post_init__(self):
-        day_grid = np.asarray(self.day_grid, dtype=float)
+        # Bad inputs are refused here, not as a penalty point inside an optimizer: the day grid,
+        # y_obs's shape, the quadrature rule and the size of the shared incubation-window table.
+        day_grid = _checked_day_grid(self.day_grid)
         y_obs = np.asarray(self.y_obs, dtype=float)
         if y_obs.shape != (day_grid.size, self.graph.n_regions):
             raise ValueError("y_obs must be (len(day_grid), n_regions)")
         object.__setattr__(self, "day_grid", day_grid)
         object.__setattr__(self, "y_obs", y_obs)
-        # Build the quadrature rule and (or find) the shared incubation-window table now:
-        # an invalid rule or an oversized table is refused here, not as a penalty point
-        # inside an optimizer.
         object.__setattr__(self, "quad", QuadratureRule.gauss_legendre(self.quad_nodes))
         _window_table(self.incubation)
 
@@ -78,8 +77,7 @@ class ModelContext:
 
     def predictions(self, theta: ParamVector, day_grid=None):
         """Model predictions (N_d, R) at constrained parameters theta."""
-        grid = self.day_grid if day_grid is None else np.asarray(day_grid, dtype=float)
-        return predict_regions(theta, self.incubation, grid, self.quad)
+        return predict_regions(theta, self.incubation, self.day_grid if day_grid is None else day_grid, self.quad)
 
     def predictions_and_grad(self, theta: ParamVector):
         return predict_regions(theta, self.incubation, self.day_grid, self.quad, with_grad=True)
@@ -87,14 +85,14 @@ class ModelContext:
 
 def predict_regions(theta: ParamVector, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad=False):
     """Every region's forward model on day_grid: y (N_d, R), or with_grad (y, partials (N_d, R, 4))."""
-    day_grid = np.asarray(day_grid, dtype=float)
+    day_grid = _checked_day_grid(day_grid)
     y = np.empty((day_grid.size, theta.n_regions))
     grad = np.empty(y.shape + (4,)) if with_grad else None
     for r in range(theta.n_regions):
         if with_grad:
-            y[:, r], grad[:, r] = predict_daily_grad(theta.region(r), inc, day_grid, quad)
+            y[:, r], grad[:, r] = _convolve(theta.region(r), inc, day_grid, quad, with_grad)
         else:
-            y[:, r] = predict_daily(theta.region(r), inc, day_grid, quad)
+            y[:, r] = _convolve(theta.region(r), inc, day_grid, quad, with_grad)
     return (y, grad) if with_grad else y
 
 

@@ -412,11 +412,15 @@ def test_mcmc_summarises_every_parameter(tmp_path, capsys):
 
 
 def test_mcmc_chain_that_accepts_nothing_is_numerical_failure(tmp_path, capsys):
-    # On this config a 40-draw chain rejects every proposal from a 200-iteration MLE.
-    args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40, max_iters=200)
+    # On this config a 40-draw chain rejects every proposal from an MLE that ends by itself
+    # within the default max_iters, not on the iteration bound.
+    args = _simulate_and_fit(tmp_path, seed=0, mcmc_draws=40)
+    stuck = _edited_config(Path(args[1]), tmp_path, max_iters=RunConfig.max_iters)
     capsys.readouterr()
-    assert main(["mcmc", *args]) == 3
-    err = capsys.readouterr().err
+    assert main(["mcmc", "--config", str(stuck), "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    line = next(line for line in out.splitlines() if line.startswith("MLE start: "))
+    assert "iteration bound" not in line
     assert "numerical failure" in err and "acceptance rate 0.000" in err and "mcmc_draws = 40" in err
     assert "StuckChainError" in (tmp_path / "diagnostics.txt").read_text()
     assert not (tmp_path / "chain_summary.csv").exists()
@@ -480,7 +484,7 @@ def test_fit_and_mcmc_say_how_the_mle_start_ended(tmp_path, capsys):
     assert main(["mcmc", *args]) == 0
     for out in (fit_out, capsys.readouterr().out):
         line = next(line for line in out.splitlines() if line.startswith("MLE start: "))
-        assert "ITERATIONS REACHED LIMIT (nit 5, nfev " in line
+        assert "ITERATIONS REACHED LIMIT (status 1, nit 5, nfev " in line
         assert line.endswith("; the iteration bound max_iters = 5 stopped it")
 
 

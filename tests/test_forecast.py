@@ -174,3 +174,13 @@ class TestSamplePpt:
         state = VariationalState.around(default_initial_guess(ctx))
         with pytest.raises(ValueError):
             sample_ppt(state, ctx, ctx.day_grid, n_samples=1)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]],
+                             ids=["repeated", "decreasing", "2-D"])
+    def test_bad_day_grid_is_refused_as_bad_input(self, grid):
+        # Refused before the draws, not retried into a covariance failure.
+        ctx, _ = make_context(n_regions=2, n_days=10, seed=54)
+        state = VariationalState.around(default_initial_guess(ctx))
+        with pytest.raises(ValueError, match="day_grid") as info:
+            sample_ppt(state, ctx, np.array(grid), n_samples=5)
+        assert not isinstance(info.value, np.linalg.LinAlgError)

@@ -16,7 +16,6 @@ from epifield import (
 )
 from epifield import model
 from epifield.model import (
-    _day_quadrature,
     _incubation_window,
     _window_table,
     incubation_pdf,
@@ -124,22 +123,19 @@ class TestIncubationCdf:
 
 class TestQuadrature:
     def test_weights_sum_to_interval(self):
+        # Day i's rule on [t0, t_i] has weights (t_i - t0) w_j / 2.
         p = RegionParams(t0=-3.0, N=1.0, k=3.0, theta=5.0)
         grid = np.array([-1.0, 4.0, 11.0])
-        d, _, active = _day_quadrature(p, grid, QUAD)
-        half = 0.5 * d
-        assert active.all()
-        assert np.allclose(half * QUAD.weights.sum(), grid - p.t0, rtol=1e-12)
+        assert np.allclose(0.5 * (grid - p.t0) * QUAD.weights.sum(), grid - p.t0, rtol=1e-12)
 
     def test_polynomial_exactness(self):
         # n-point Gauss-Legendre integrates degree 2n-1 exactly.
         quad = QuadratureRule.gauss_legendre(16)
-        p = RegionParams(t0=0.0, N=1.0, k=3.0, theta=5.0)
         grid = np.array([0.5, 2.0, 7.0])
-        d, c, _ = _day_quadrature(p, grid, quad)
-        half = 0.5 * d
-        tau = p.t0 + half[:, None] * (quad.nodes + 1.0)
-        assert np.allclose(tau, p.t0 + 2.0 * half[:, None] * c, rtol=1e-14)
+        half = 0.5 * grid  # t0 = 0
+        tau = half[:, None] * (quad.nodes + 1.0)
+        c = quad._node_terms[0]
+        assert np.allclose(tau, 2.0 * half[:, None] * c, rtol=1e-14)
         val = half * (tau**7 @ quad.weights)
         assert np.allclose(val, grid**8 / 8.0, rtol=1e-12)
 
@@ -147,10 +143,22 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule.gauss_legendre(8)
 
+    def test_one_shared_read_only_rule_per_node_count(self):
+        rule = QuadratureRule.gauss_legendre(64)
+        assert rule is QuadratureRule.gauss_legendre(64) is QuadratureRule.gauss_legendre(n=64)
+        assert rule is QuadratureRule.gauss_legendre()
+        assert QuadratureRule.gauss_legendre(32) is not rule
+        for a in (rule.nodes, rule.weights, *rule._node_terms):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
     def test_day_grid_must_increase(self):
         p = RegionParams(t0=0.0, N=1.0, k=3.0, theta=5.0)
-        with pytest.raises(ValueError):
-            _day_quadrature(p, np.array([1.0, 1.0, 2.0]), QUAD)
+        for bad in ([1.0, 1.0, 2.0], [1.0, 3.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]):
+            for predict in (predict_daily, predict_daily_grad):
+                with pytest.raises(ValueError, match="day_grid"):
+                    predict(p, IncubationParams(), np.array(bad), QUAD)
 
 
 class TestPredictDaily:

@@ -6,6 +6,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
+from epifield import model, posterior
 from epifield import (
     IncubationParams,
     ModelContext,
@@ -19,7 +20,7 @@ from epifield import (
 from epifield.likelihood import _batched_covariances, correlated_noise, log_likelihood, log_likelihood_and_grad
 from epifield.params import ParamVector, log_prior
 from epifield.posterior import predict_regions
-from epifield.vi import default_initial_guess
+from epifield.vi import default_initial_guess, mle_fit
 
 from conftest import make_context, random_paramvector
 
@@ -148,3 +149,36 @@ def test_correlated_noise_draws_only_after_the_factorisation():
     with pytest.raises(np.linalg.LinAlgError):
         correlated_noise(ctx.graph, flat, ctx.y_obs, rng)
     assert rng.bit_generator.state == before
+
+
+BAD_GRIDS = {"repeated": [1.0, 2.0, 2.0, 3.0, 4.0], "decreasing": [4.0, 3.0, 2.0, 1.0, 0.0],
+             "2-D": [[1.0], [2.0], [3.0], [4.0], [5.0]]}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_bad_day_grid_is_refused_where_it_enters(name):
+    ctx, _ = make_context(n_regions=2, n_days=5, seed=1)
+    with pytest.raises(ValueError, match="day_grid"):
+        ModelContext(graph=ctx.graph, day_grid=np.array(BAD_GRIDS[name]), y_obs=ctx.y_obs)
+
+
+def test_mle_fit_on_a_bad_day_grid_is_bad_input():
+    # Not the MLE's "non-finite objective ... at the MLE starting point".
+    ctx, _ = make_context(n_regions=2, n_days=5, seed=1)
+    with pytest.raises(ValueError, match="day_grid"):
+        mle_fit(ModelContext(graph=ctx.graph, day_grid=[1, 2, 2, 3, 4], y_obs=ctx.y_obs))
+
+
+def test_one_evaluation_checks_the_day_grid_once(monkeypatch):
+    ctx, _ = make_context(n_regions=3, n_days=20, seed=4)
+    calls = []
+    real_check = model._checked_day_grid
+
+    def counting_check(day_grid):
+        calls.append(1)
+        return real_check(day_grid)
+
+    for module in (model, posterior):
+        monkeypatch.setattr(module, "_checked_day_grid", counting_check)
+    ctx.logpost_and_grad(default_initial_guess(ctx))
+    assert len(calls) == 1
