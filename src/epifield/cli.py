@@ -183,7 +183,8 @@ def _write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
 
 
 def _read_ensemble_npz(path, key):
-    """The ensemble stored at path, or None if it is missing, unreadable or has another key."""
+    """The ensemble stored at path, or None if it is missing, unreadable, has another key or
+    holds a non-finite value (ForecastEnsemble refuses one)."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             if str(doc["key"]) != key:

@@ -23,7 +23,9 @@ class ForecastEnsemble:
     """J noisy trajectories per region with matching noise-free push-forwards.
 
     Noisy samples keep their Gaussian noise unclipped, so they (and the low
-    percentile bands) may dip below zero near small predictions.
+    percentile bands) may dip below zero near small predictions.  Every
+    value is finite: a non-finite one is refused, so no band, score or
+    boundary is computed from one.
     """
 
     samples: np.ndarray  # (J, N_days, R)
@@ -35,6 +37,9 @@ class ForecastEnsemble:
             raise ValueError("samples and pushforward shapes must agree")
         if self.samples.shape[1] != np.asarray(self.day_grid).size:
             raise ValueError("day axis mismatch")
+        for name in ("samples", "pushforward"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"a non-finite value in the ensemble's {name}")
 
     def bands(self):
         """Percentile bands {p05, p25, p50, p75, p95} of the noisy samples, each (N_days, R)."""
@@ -70,7 +75,8 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     Each draw maps a posterior sample to constrained parameters, computes
     the daily predictions, and adds day-wise noise correlated across
     regions through the fitted covariance.  Draws whose covariance fails
-    to factor are resampled, up to MAX_RETRIES in a row.
+    to factor, or whose predictions or noise are not finite, are resampled;
+    after MAX_RETRIES of them in a row it raises LinAlgError.
     """
     if n_samples < 2:
         raise ValueError("at least 2 ensemble members required")
@@ -84,14 +90,20 @@ def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     retries = 0
     while j < n_samples:
         xhat = _draw_unconstrained(source, rng)
-        try:
-            theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
-            y = ctx.predictions(theta, day_grid=day_grid)
-            noise = correlated_noise(ctx.graph, theta.noise, y, rng)
-        except (ValueError, np.linalg.LinAlgError):
+        # An overflow here is caught as a non-finite draw below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
+                y = ctx.predictions(theta, day_grid=day_grid)
+                noise = correlated_noise(ctx.graph, theta.noise, y, rng)
+                failed = not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise)))
+            except (ValueError, np.linalg.LinAlgError):
+                failed = True
+        if failed:
             retries += 1
             if retries > MAX_RETRIES:
-                raise np.linalg.LinAlgError(f"covariance factorization failed {retries} times in a row")
+                raise np.linalg.LinAlgError(f"the covariance failed to factor, or the draw was not finite, "
+                                            f"{retries} times in a row")
             continue
         retries = 0
         pushforward[j] = y

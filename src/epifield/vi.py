@@ -13,7 +13,12 @@ comparison.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,20 +131,31 @@ def elbo_estimate(state: VariationalState, target, n_samples, seed=0, eps=None):
     return -gaussian_entropy(state.sigma) - float(np.mean(vals))
 
 
-def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=None):
+def _evaluate(target, xs):
+    """target.logpost_and_grad at each row of xs, in row order: a list of (value, gradient)."""
+    return [target.logpost_and_grad(x) for x in xs]
+
+
+def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=None, helpers=None):
     """Reparametrization-trick gradient of the objective.
 
     Entropy gradients are analytic (zero w.r.t. mu); data/prior terms chain
     the unconstrained log-posterior gradient through d x / d mu = 1 and
     d x / d rho = sigma'(rho) * eps.  Returns (elbo, grad_mu, grad_rho).
+
+    The draws are evaluated one after another in this process, or, given
+    `helpers` (a `_Helpers` started on this target), in contiguous blocks
+    spread over the helper processes and this one.  Either way the values
+    and gradients are summed in draw order, so both give the same bits.
     """
     eps, xs = _draws(state, n_samples, seed, eps)
     sig_prime = expit(state.rho)
+    results = _evaluate(target, xs) if helpers is None else helpers.evaluate(target, xs)
     vals = np.empty(len(xs))
     g_mu = np.zeros(state.dim)
     g_rho = np.zeros(state.dim)
-    for s, x in enumerate(xs):
-        vals[s], g = target.logpost_and_grad(x)
+    for s, (val, g) in enumerate(results):
+        vals[s] = val
         g_mu += g
         g_rho += g * eps[s]
     n = len(xs)
@@ -147,6 +163,132 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     g_rho = -sig_prime / state.sigma - sig_prime * g_rho / n
     elbo = -gaussian_entropy(state.sigma) - float(np.mean(vals))
     return elbo, g_mu, g_rho
+
+
+def _helper_count(n_samples):
+    """How many helpers an Adam loop of n_samples draws gets: min(usable CPUs, n_samples) - 1,
+    or 0 where the `fork` start method or the CPU affinity call is missing, or in a daemonic
+    process (a `multiprocessing.Pool` worker, say), which may not start any."""
+    if (not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 0
+    return min(len(os.sched_getaffinity(0)), n_samples) - 1
+
+
+class _HelperTraceback(Exception):
+    """The traceback of an error raised in a helper: the cause of its re-raise in the parent."""
+
+
+def _portable(exc):
+    """(exc, its traceback text), with exc replaced by a RuntimeError if it would not unpickle as itself."""
+    text = traceback.format_exc()
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc, text
+
+
+def _serve(conn, target, parent_ends):
+    """A helper's loop: answer each block of draws from the pipe until the parent closes it.
+
+    An answer is (results, None), or (None, (error, traceback text)) when an evaluation raised.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    # Closing the inherited parent ends lets the parent's close reach this helper as EOF.
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            xs = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (_evaluate(target, xs), None)
+        except Exception as exc:
+            reply = (None, _portable(exc))
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
+
+
+def _exited(proc):
+    """The error for a helper that went away without answering, naming its exit code."""
+    proc.join(5.0)
+    return RuntimeError(f"ELBO helper process {proc.pid} exited with code {proc.exitcode} without answering")
+
+
+class _Helpers:
+    """Forked processes that evaluate blocks of ELBO draws, each fed through its own pipe.
+
+    Each helper evaluates the copy of the target that existed when it was
+    forked, so the target must be a pure function of x.  Used as a context
+    manager: leaving it closes the pipes and joins the helpers.  With no
+    helpers, `evaluate` is the in-process loop.
+    """
+
+    def __init__(self, target, n_helpers):
+        self._conns, self._procs = [], []
+        try:
+            for _ in range(n_helpers):
+                fork = multiprocessing.get_context("fork")
+                conn, child_end = fork.Pipe()
+                self._conns.append(conn)
+                proc = fork.Process(target=_serve, args=(child_end, target, list(self._conns)), daemon=True)
+                proc.start()
+                child_end.close()
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def evaluate(self, target, xs):
+        """target.logpost_and_grad at each row of xs, in row order, like `_evaluate`.
+
+        Helper i gets block i + 1 of len(helpers) + 1 contiguous blocks; this
+        process evaluates block 0 meanwhile.  Every answer is read before an
+        error is raised, the one of the earliest block, with its own type.
+        """
+        blocks = np.array_split(xs, len(self._conns) + 1)
+        for conn, proc, block in zip(self._conns, self._procs, blocks[1:]):
+            try:
+                conn.send(block)
+            except OSError:
+                raise _exited(proc) from None
+        try:
+            results = _evaluate(target, blocks[0])
+        finally:
+            replies = [self._receive(conn, proc) for conn, proc in zip(self._conns, self._procs)]
+        for block_results, error in replies:
+            if error is not None:
+                exc, text = error
+                raise exc from _HelperTraceback(text)
+            results += block_results
+        return results
+
+    @staticmethod
+    def _receive(conn, proc):
+        try:
+            return conn.recv()
+        except EOFError:
+            raise _exited(proc) from None
+
+    def close(self):
+        """Close the pipes, so the helpers exit, and join them; one still running after 5 s is killed."""
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            proc.join(5.0)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
 
 
 def elbo_grad_score(state: VariationalState, target, n_samples, seed=0, eps=None):
@@ -247,8 +389,21 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
 
     Fresh epsilon draws are taken each iteration, derived from
     (config.seed, iteration) so replays are bit-identical.  Raises
-    DivergenceError after 10 consecutive non-finite ELBO estimates, or as
-    soon as an update makes the state non-finite (Adam cannot recover).
+    DivergenceError after 10 consecutive non-finite ELBO estimates, as soon
+    as an update makes the state non-finite (Adam cannot recover), or when
+    the last iteration's ELBO is non-finite.
+
+    After the MLE, min(usable CPUs, config.n_samples) - 1 helper processes
+    are forked (Linux `fork` start method) and each iteration's draws are
+    spread over them and this process; they are joined before the function
+    returns or raises.  The result is bit-identical to evaluating every
+    draw here, which happens with one usable CPU, with n_samples 1, without
+    `fork`, or in a daemonic process.  Helpers evaluate forked copies of
+    ctx, so `ctx.logpost_and_grad` must be a pure function of x
+    (ModelContext's is), and since `fork` copies only the calling thread,
+    no other thread of the process should run meanwhile.  An error a helper
+    raises is re-raised here with its own type; a helper that exits
+    without answering raises a RuntimeError naming its exit code.
     """
     config = config or OptimizerConfig()
     if mu0 is None:
@@ -257,22 +412,25 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
     adam = Adam(np.concatenate([state.mu, state.rho]), config)
     trace = ElboTrace()
     d = state.dim
-    t_start = time.perf_counter()
     bad_streak = 0
-    for it in range(config.max_iters):
-        eps = sample_epsilon(config.n_samples, d, seed=[config.seed, it])
-        elbo, g_mu, g_rho = elbo_grad_reparam(state, ctx, config.n_samples, eps=eps)
-        grad = np.concatenate([g_mu, g_rho])
-        gnorm = float(np.linalg.norm(grad))
-        trace.append(it, elbo, gnorm, time.perf_counter() - t_start, config.n_samples)
-        if not np.isfinite(elbo):
-            bad_streak += 1
-            if bad_streak >= 10:
-                raise DivergenceError(f"ELBO non-finite for {bad_streak} consecutive iterations", trace)
-        else:
-            bad_streak = 0
-        x = adam.step(grad)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"variational state non-finite after iteration {it}", trace)
-        state = VariationalState(mu=x[:d], rho=x[d:])
+    with _Helpers(ctx, _helper_count(config.n_samples)) as helpers:
+        t_start = time.perf_counter()
+        for it in range(config.max_iters):
+            eps = sample_epsilon(config.n_samples, d, seed=[config.seed, it])
+            elbo, g_mu, g_rho = elbo_grad_reparam(state, ctx, config.n_samples, eps=eps, helpers=helpers)
+            grad = np.concatenate([g_mu, g_rho])
+            gnorm = float(np.linalg.norm(grad))
+            trace.append(it, elbo, gnorm, time.perf_counter() - t_start, config.n_samples)
+            if not np.isfinite(elbo):
+                bad_streak += 1
+                if bad_streak >= 10:
+                    raise DivergenceError(f"ELBO non-finite for {bad_streak} consecutive iterations", trace)
+            else:
+                bad_streak = 0
+            x = adam.step(grad)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"variational state non-finite after iteration {it}", trace)
+            state = VariationalState(mu=x[:d], rho=x[d:])
+    if bad_streak:
+        raise DivergenceError(f"ELBO non-finite at the last {bad_streak} of {config.max_iters} iterations", trace)
     return state, trace

@@ -622,6 +622,20 @@ class TestEnsembleArtifact:
         assert all(np.array_equal(rewritten[k], original[k]) for k in original)
         assert (tmp_path / "forecast.csv").read_bytes() == forecast_csv
 
+    @pytest.mark.parametrize("command", ["detect", "exceedance", "crps"])
+    def test_a_non_finite_file_is_redrawn_not_scored(self, tmp_path, draws, command):
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, [command, *args]) == 1
+        scored = {f: (tmp_path / f).read_bytes() for f in DOWNSTREAM[command]}
+        poisoned = _npz_arrays(npz)
+        poisoned["samples"][0, -1, 0] = np.nan
+        np.savez(npz, allow_pickle=False, **poisoned)
+        assert self._drawn_by(draws, [command, *args]) == 1
+        assert np.all(np.isfinite(_npz_arrays(npz)["samples"]))
+        for f in DOWNSTREAM[command]:
+            assert (tmp_path / f).read_bytes() == scored[f], f
+
 
 def _zero_cases(cases_csv, regions):
     """Set the regions' counts to zero through 2020-08-18: the fit window and the

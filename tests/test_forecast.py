@@ -134,6 +134,14 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ForecastEnsemble(samples=np.zeros((3, 4, 2)), pushforward=np.zeros((3, 5, 2)), day_grid=np.arange(4.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["samples", "pushforward"])
+    def test_refuses_non_finite_values(self, name, bad):
+        arrays = {"samples": np.zeros((3, 4, 2)), "pushforward": np.zeros((3, 4, 2))}
+        arrays[name][2, 3, 1] = bad
+        with pytest.raises(ValueError, match=f"non-finite value in the ensemble's {name}"):
+            ForecastEnsemble(**arrays, day_grid=np.arange(4.0))
+
 
 class TestSamplePpt:
     def test_point_mass_zero_noise_reduces_to_predictions(self):
@@ -174,6 +182,22 @@ class TestSamplePpt:
         state = VariationalState.around(default_initial_guess(ctx))
         with pytest.raises(ValueError):
             sample_ppt(state, ctx, ctx.day_grid, n_samples=1)
+
+    def test_non_finite_draws_are_resampled(self):
+        # sigma = 300 in every slot: many draws overflow in the transforms, the forward model or the
+        # noise scale without failing the factorisation.  Each is drawn again, not kept.
+        ctx, _ = make_context(2, 10, seed=1)
+        state = VariationalState(mu=default_initial_guess(ctx), rho=np.full(ctx.dim, 300.0))
+        ens = sample_ppt(state, ctx, ctx.day_grid, n_samples=50)
+        assert np.all(np.isfinite(ens.samples)) and np.all(np.isfinite(ens.pushforward))
+
+    def test_only_non_finite_draws_is_a_numerical_failure(self):
+        ctx, _ = make_context(2, 10, seed=1)
+        mu = default_initial_guess(ctx)
+        mu[1] = 800.0  # N[0] = exp(800) overflows in every draw
+        state = VariationalState.around(mu, sigma=1e-6)
+        with pytest.raises(np.linalg.LinAlgError, match="11 times in a row"):
+            sample_ppt(state, ctx, ctx.day_grid, n_samples=5)
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]],
                              ids=["repeated", "decreasing", "2-D"])

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -294,6 +298,100 @@ class TestFitMfvi:
             fit_mfvi(LateNaN(), cfg, mu0=np.zeros(3))
         assert len(exc.value.trace.iterations) == 3
         assert np.isfinite(exc.value.trace.elbo[:2]).all() and np.isnan(exc.value.trace.elbo[2])
+
+    def test_non_finite_last_elbo_is_an_error(self):
+        class LateNaNValue:
+            """A finite gradient throughout, but a NaN value from the 4th of 5 iterations on."""
+
+            calls = 0
+
+            def logpost_and_grad(self, x, include_jacobian=True):
+                self.calls += 1
+                return (np.nan if self.calls > 3 else -0.5 * float(x @ x)), -x
+
+        # Two non-finite ELBOs in a row, not 10, and the state stays finite: still an error.
+        cfg = OptimizerConfig(max_iters=5, n_samples=1, seed=0)
+        with pytest.raises(DivergenceError, match="last 2 of 5 iterations") as exc:
+            fit_mfvi(LateNaNValue(), cfg, mu0=np.zeros(3))
+        assert len(exc.value.trace.iterations) == 5
+        assert np.isnan(exc.value.trace.elbo[3:]).all()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes os.sched_getaffinity report n usable CPUs."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class Quadratic:
+    """A pure target, -x.x / 2, that calls fail() first in any process but the one that made it."""
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.pid = os.getpid()
+
+    def logpost_and_grad(self, x, include_jacobian=True):
+        if os.getpid() != self.pid:
+            self.fail()
+        return -0.5 * float(x @ x), -x
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("n_regions, n_days", [(3, 40), (33, 107)])
+    def test_bit_identical_to_the_in_process_loop(self, cpus, n_regions, n_days):
+        ctx, _ = make_context(n_regions, n_days, seed=3)
+        cfg = OptimizerConfig(max_iters=4, n_samples=10, seed=1)
+        mu0 = default_initial_guess(ctx)
+        cpus(1)
+        oracle, oracle_trace = fit_mfvi(ctx, cfg, mu0=mu0)
+        cpus(3)  # 2 helpers: blocks of 4, 3 and 3 draws
+        state, trace = fit_mfvi(ctx, cfg, mu0=mu0)
+        assert np.array_equal(state.mu, oracle.mu) and np.array_equal(state.rho, oracle.rho)
+        assert trace.elbo == oracle_trace.elbo and trace.grad_norm == oracle_trace.grad_norm
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_is_left_after_divergence(self, cpus):
+        class Exploding:
+            def logpost_and_grad(self, x, include_jacobian=True):
+                return np.nan, np.zeros_like(x)
+
+        cpus(2)
+        with pytest.raises(DivergenceError):
+            fit_mfvi(Exploding(), OptimizerConfig(max_iters=50, n_samples=2, seed=0), mu0=np.zeros(3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, FloatingPointError, RuntimeWarning])
+    def test_a_helper_error_reaches_the_caller_with_its_type(self, cpus, error):
+        def fail():
+            raise error("raised in a helper")
+
+        cpus(2)
+        with pytest.raises(error, match="raised in a helper") as exc:
+            fit_mfvi(Quadratic(fail), OptimizerConfig(max_iters=3, n_samples=4, seed=0), mu0=np.zeros(3))
+        assert "in fail" in str(exc.value.__cause__)  # the helper's traceback
+        assert multiprocessing.active_children() == []
+
+    def test_a_helper_that_exits_without_answering_is_an_error(self, cpus):
+        cpus(2)
+        with pytest.raises(RuntimeError, match="exited with code 7 without answering"):
+            fit_mfvi(Quadratic(lambda: os._exit(7)), OptimizerConfig(max_iters=3, n_samples=4, seed=0),
+                     mu0=np.zeros(3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_cpus, n_samples, methods, daemon", [
+        (1, 10, ["fork"], False), (4, 1, ["fork"], False), (4, 10, ["spawn"], False), (4, 10, ["fork"], True),
+    ], ids=["one_cpu", "one_draw", "no_fork", "daemon"])
+    def test_in_process_starts_no_process(self, cpus, monkeypatch, n_cpus, n_samples, methods, daemon):
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        cpus(n_cpus)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=daemon))
+        monkeypatch.setattr(os, "fork", no_fork)
+        state, _ = fit_mfvi(Quadratic(no_fork), OptimizerConfig(max_iters=3, n_samples=n_samples, seed=0),
+                            mu0=np.ones(3))
+        assert np.all(np.isfinite(state.mu))
 
 
 class TestLoglikGradientCheck:
