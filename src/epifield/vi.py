@@ -148,9 +148,11 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     spread over the helper processes and this one.  Either way the values
     and gradients are summed in draw order, so both give the same bits.
     """
+    if helpers is not None and helpers.target is not target:
+        raise ValueError("helpers were started on another target")
     eps, xs = _draws(state, n_samples, seed, eps)
     sig_prime = expit(state.rho)
-    results = _evaluate(target, xs) if helpers is None else helpers.evaluate(target, xs)
+    results = _evaluate(target, xs) if helpers is None else helpers.evaluate(xs)
     vals = np.empty(len(xs))
     g_mu = np.zeros(state.dim)
     g_rho = np.zeros(state.dim)
@@ -165,14 +167,21 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     return elbo, g_mu, g_rho
 
 
+# Processes an Adam loop uses at most, itself and its helpers.  One helper is
+# the only count whose speed and memory were measured (on 2 vCPUs); more stay
+# unused until they are.
+MAX_ELBO_PROCESSES = 2
+
+
 def _helper_count(n_samples):
-    """How many helpers an Adam loop of n_samples draws gets: min(usable CPUs, n_samples) - 1,
-    or 0 where the `fork` start method or the CPU affinity call is missing, or in a daemonic
-    process (a `multiprocessing.Pool` worker, say), which may not start any."""
+    """How many helpers an Adam loop of n_samples draws gets:
+    min(usable CPUs, n_samples, MAX_ELBO_PROCESSES) - 1, or 0 where the `fork` start method
+    or the CPU affinity call is missing, or in a daemonic process (a `multiprocessing.Pool`
+    worker, say), which may not start any.  CPU quotas (cgroup `cpu.max`) are not counted."""
     if (not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return 0
-    return min(len(os.sched_getaffinity(0)), n_samples) - 1
+    return min(len(os.sched_getaffinity(0)), n_samples, MAX_ELBO_PROCESSES) - 1
 
 
 class _HelperTraceback(Exception):
@@ -222,13 +231,14 @@ def _exited(proc):
 class _Helpers:
     """Forked processes that evaluate blocks of ELBO draws, each fed through its own pipe.
 
-    Each helper evaluates the copy of the target that existed when it was
+    Each helper evaluates the copy of `target` that existed when it was
     forked, so the target must be a pure function of x.  Used as a context
     manager: leaving it closes the pipes and joins the helpers.  With no
     helpers, `evaluate` is the in-process loop.
     """
 
     def __init__(self, target, n_helpers):
+        self.target = target
         self._conns, self._procs = [], []
         try:
             for _ in range(n_helpers):
@@ -249,12 +259,13 @@ class _Helpers:
     def __exit__(self, *exc):
         self.close()
 
-    def evaluate(self, target, xs):
-        """target.logpost_and_grad at each row of xs, in row order, like `_evaluate`.
+    def evaluate(self, xs):
+        """self.target.logpost_and_grad at each row of xs, in row order, like `_evaluate`.
 
         Helper i gets block i + 1 of len(helpers) + 1 contiguous blocks; this
         process evaluates block 0 meanwhile.  Every answer is read before an
-        error is raised, the one of the earliest block, with its own type.
+        error is raised: this process's own, else the earliest helper's, with
+        its own type.
         """
         blocks = np.array_split(xs, len(self._conns) + 1)
         for conn, proc, block in zip(self._conns, self._procs, blocks[1:]):
@@ -263,22 +274,23 @@ class _Helpers:
             except OSError:
                 raise _exited(proc) from None
         try:
-            results = _evaluate(target, blocks[0])
+            results = _evaluate(self.target, blocks[0])
         finally:
             replies = [self._receive(conn, proc) for conn, proc in zip(self._conns, self._procs)]
         for block_results, error in replies:
             if error is not None:
                 exc, text = error
-                raise exc from _HelperTraceback(text)
+                raise exc from (_HelperTraceback(text) if text else None)
             results += block_results
         return results
 
     @staticmethod
     def _receive(conn, proc):
+        """A helper's answer; one that exited without answering gives (None, (its error, None))."""
         try:
             return conn.recv()
         except EOFError:
-            raise _exited(proc) from None
+            return None, (_exited(proc), None)
 
     def close(self):
         """Close the pipes, so the helpers exit, and join them; one still running after 5 s is killed."""
@@ -393,16 +405,17 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
     as an update makes the state non-finite (Adam cannot recover), or when
     the last iteration's ELBO is non-finite.
 
-    After the MLE, min(usable CPUs, config.n_samples) - 1 helper processes
-    are forked (Linux `fork` start method) and each iteration's draws are
-    spread over them and this process; they are joined before the function
-    returns or raises.  The result is bit-identical to evaluating every
-    draw here, which happens with one usable CPU, with n_samples 1, without
-    `fork`, or in a daemonic process.  Helpers evaluate forked copies of
-    ctx, so `ctx.logpost_and_grad` must be a pure function of x
-    (ModelContext's is), and since `fork` copies only the calling thread,
-    no other thread of the process should run meanwhile.  An error a helper
-    raises is re-raised here with its own type; a helper that exits
+    After the MLE, min(usable CPUs, config.n_samples, MAX_ELBO_PROCESSES)
+    - 1 helper processes are forked (Linux `fork` start method; at most one,
+    as MAX_ELBO_PROCESSES is 2) and each iteration's draws are spread over
+    them and this process; they are joined before the function returns or
+    raises.  CPU quotas are not counted.  The result is bit-identical to
+    evaluating every draw here, which happens with one usable CPU, with
+    n_samples 1, without `fork`, or in a daemonic process.  Helpers evaluate
+    forked copies of ctx, so `ctx.logpost_and_grad` must be a pure function
+    of x (ModelContext's is), and since `fork` copies only the calling
+    thread, no other thread of the process should run meanwhile.  An error a
+    helper raises is re-raised here with its own type; a helper that exits
     without answering raises a RuntimeError naming its exit code.
     """
     config = config or OptimizerConfig()

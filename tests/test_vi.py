@@ -21,6 +21,8 @@ from epifield.vi import (
     ADAM_EPS,
     Adam,
     DivergenceError,
+    _helper_count,
+    _Helpers,
     _mle_bounds,
     default_initial_guess,
     gaussian_entropy,
@@ -344,11 +346,27 @@ class TestHelpers:
         mu0 = default_initial_guess(ctx)
         cpus(1)
         oracle, oracle_trace = fit_mfvi(ctx, cfg, mu0=mu0)
-        cpus(3)  # 2 helpers: blocks of 4, 3 and 3 draws
+        cpus(2)  # 1 helper: blocks of 5 and 5 draws
         state, trace = fit_mfvi(ctx, cfg, mu0=mu0)
         assert np.array_equal(state.mu, oracle.mu) and np.array_equal(state.rho, oracle.rho)
         assert trace.elbo == oracle_trace.elbo and trace.grad_norm == oracle_trace.grad_norm
         assert multiprocessing.active_children() == []
+
+    def test_more_helpers_also_sum_in_draw_order(self):
+        ctx, _ = make_context(3, 40, seed=3)
+        state = VariationalState.around(default_initial_guess(ctx))
+        oracle = elbo_grad_reparam(state, ctx, 10, seed=5)
+        with _Helpers(ctx, 3) as helpers:  # blocks of 3, 3, 2 and 2 draws
+            got = elbo_grad_reparam(state, ctx, 10, seed=5, helpers=helpers)
+            with pytest.raises(ValueError, match="another target"):
+                elbo_grad_reparam(state, make_context(3, 40, seed=4)[0], 10, seed=5, helpers=helpers)
+        assert got[0] == oracle[0] and all(np.array_equal(a, b) for a, b in zip(got[1:], oracle[1:]))
+        assert multiprocessing.active_children() == []
+
+    def test_helper_count_is_capped_at_the_measured_one(self, cpus):
+        cpus(64)
+        assert _helper_count(200) == 1
+        assert _helper_count(1) == 0
 
     def test_no_process_is_left_after_divergence(self, cpus):
         class Exploding:
@@ -376,6 +394,18 @@ class TestHelpers:
         with pytest.raises(RuntimeError, match="exited with code 7 without answering"):
             fit_mfvi(Quadratic(lambda: os._exit(7)), OptimizerConfig(max_iters=3, n_samples=4, seed=0),
                      mu0=np.zeros(3))
+        assert multiprocessing.active_children() == []
+
+    def test_this_process_error_comes_before_a_helper_exit(self, cpus):
+        class Both(Quadratic):
+            def logpost_and_grad(self, x, include_jacobian=True):
+                if os.getpid() == self.pid:
+                    raise np.linalg.LinAlgError("raised in the parent")
+                return super().logpost_and_grad(x)
+
+        cpus(2)
+        with pytest.raises(np.linalg.LinAlgError, match="raised in the parent"):
+            fit_mfvi(Both(lambda: os._exit(7)), OptimizerConfig(max_iters=3, n_samples=4, seed=0), mu0=np.zeros(3))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_cpus, n_samples, methods, daemon", [
