@@ -178,19 +178,19 @@ def _write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         np.savez(fh, allow_pickle=False, samples=ensemble.samples, pushforward=ensemble.pushforward,
-                 day_grid=ensemble.day_grid, key=np.array(key))
+                 day_grid=ensemble.day_grid, resampled=np.array(ensemble.resampled), key=np.array(key))
     os.replace(tmp, path)
 
 
 def _read_ensemble_npz(path, key):
-    """The ensemble stored at path, or None if it is missing, unreadable, has another key or
-    holds a non-finite value (ForecastEnsemble refuses one)."""
+    """The ensemble stored at path, or None if it is missing, unreadable (a file without the
+    resample count, say), has another key or holds a non-finite value (ForecastEnsemble refuses one)."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             if str(doc["key"]) != key:
                 return None
             return ForecastEnsemble(samples=doc["samples"], pushforward=doc["pushforward"],
-                                    day_grid=doc["day_grid"])
+                                    day_grid=doc["day_grid"], resampled=int(doc["resampled"]))
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return None
 
@@ -234,7 +234,8 @@ def cmd_forecast(args, cfg):
             svg = plots.fantail_svg(ensemble.day_grid, region_bands, observations=obs,
                                     fit_end=float(inputs.ctx.day_grid[-1]), title=str(rid))
             (outdir / f"fantail_{rid}.svg").write_text(svg)
-    print(f"forecast written to {outdir / 'forecast.csv'}")
+    print(f"forecast written to {outdir / 'forecast.csv'}; {ensemble.resampled} failed draw(s) resampled "
+          f"for its {ensemble.samples.shape[0]} members")
     return 0
 
 

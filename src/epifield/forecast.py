@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
+from .helpers import Helpers, helper_count
 from .likelihood import correlated_noise
 from .mcmc import ChainState
 from .model import _checked_day_grid
@@ -31,6 +33,7 @@ class ForecastEnsemble:
     samples: np.ndarray  # (J, N_days, R)
     pushforward: np.ndarray  # (J, N_days, R)
     day_grid: np.ndarray
+    resampled: int = 0  # draws that failed and were drawn again
 
     def __post_init__(self):
         if self.samples.shape != self.pushforward.shape:
@@ -69,47 +72,104 @@ def _draw_unconstrained(source, rng):
     raise TypeError(f"cannot draw posterior samples from {type(source).__name__}")
 
 
+def _draw_member(source, ctx: ModelContext, day_grid, rng):
+    """One ensemble member (push-forward, noisy sample) drawn from rng, or None when the draw failed:
+    its covariance did not factor, or its predictions or noise are not finite."""
+    xhat = _draw_unconstrained(source, rng)
+    # An overflow here is caught as a non-finite draw below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            theta = ParamVector(values=ctx.transforms.forward(xhat), n_regions=ctx.n_regions)
+            y = ctx.predictions(theta, day_grid=day_grid)
+            noise = correlated_noise(ctx.graph, theta.noise, y, rng)
+        except (ValueError, np.linalg.LinAlgError):
+            return None
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise))):
+        return None
+    return y, y + noise
+
+
+def _skip_member(source, member_shape, rng):
+    """Advance rng past one member that is drawn without failing, without computing it: the draws
+    of `_draw_member` are the unconstrained sample, then one normal per day and region."""
+    _draw_unconstrained(source, rng)
+    rng.standard_normal(member_shape)
+
+
 def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     """Posterior predictive test ensemble over day_grid.
 
     Each draw maps a posterior sample to constrained parameters, computes
     the daily predictions, and adds day-wise noise correlated across
     regions through the fitted covariance.  Draws whose covariance fails
-    to factor, or whose predictions or noise are not finite, are resampled;
-    after MAX_RETRIES of them in a row it raises LinAlgError.
+    to factor, or whose predictions or noise are not finite, are resampled
+    (the ensemble's `resampled` counts them); after MAX_RETRIES of them in
+    a row it raises LinAlgError.
+
+    The members are split into `helpers.helper_count(n_samples) + 1`
+    contiguous blocks: block 0 is drawn here and block b by forked helper
+    b.  Each block starts from the generator state that the one-by-one loop
+    would have at its first member if no earlier draw failed, and stops at
+    its own first failed draw.  The members before the first failure are
+    kept; from it on, this process draws the rest one by one, with the
+    retries.  So the ensemble is bit-identical to drawing every member
+    here, as happens with one usable CPU.  Both arrays live in one shared
+    anonymous mmap, which the helpers fill in place: only member indices
+    and generator states cross their pipes.
     """
     if n_samples < 2:
         raise ValueError("at least 2 ensemble members required")
     rng = np.random.default_rng(seed)
     # Checked before the draws, so the retries below only ever see numerical failures.
     day_grid = _checked_day_grid(day_grid)
-    tf = ctx.transforms
-    samples = np.empty((n_samples, day_grid.size, ctx.n_regions))
-    pushforward = np.empty_like(samples)
-    j = 0
-    retries = 0
+    shape = (n_samples, day_grid.size, ctx.n_regions)
+    # Shared with the helpers forked below, which fill their members in place.
+    buffer = mmap.mmap(-1, 2 * int(np.prod(shape)) * np.dtype(float).itemsize)
+    pushforward, samples = np.frombuffer(buffer, dtype=float).reshape((2, *shape))
+
+    def draw_block(block):
+        """Draw members lo to hi - 1 from generator state `start`: (hi, None), or at the first
+        failed draw (its index, the generator state just before it)."""
+        lo, hi, start = block
+        rng.bit_generator.state = start
+        for j in range(lo, hi):
+            before = rng.bit_generator.state
+            member = _draw_member(source, ctx, day_grid, rng)
+            if member is None:
+                return j, before
+            pushforward[j], samples[j] = member
+        return hi, None
+
+    n_helpers = helper_count(n_samples)
+    blocks = []
+    for members in np.array_split(np.arange(n_samples), n_helpers + 1):
+        lo, hi = int(members[0]), int(members[-1]) + 1
+        blocks.append((lo, hi, rng.bit_generator.state))
+        if hi < n_samples:  # the next block starts from the state after this one's draws
+            for _ in range(lo, hi):
+                _skip_member(source, shape[1:], rng)
+    with Helpers(draw_block, n_helpers) as helpers:
+        drawn = helpers.map(blocks)
+    # The members before the first failed draw are kept; from it on, they are drawn one by one.
+    j = n_samples
+    for end, before in drawn:
+        if before is not None:
+            j, rng.bit_generator.state = end, before
+            break
+    retries = resampled = 0
     while j < n_samples:
-        xhat = _draw_unconstrained(source, rng)
-        # An overflow here is caught as a non-finite draw below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
-                y = ctx.predictions(theta, day_grid=day_grid)
-                noise = correlated_noise(ctx.graph, theta.noise, y, rng)
-                failed = not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise)))
-            except (ValueError, np.linalg.LinAlgError):
-                failed = True
-        if failed:
+        member = _draw_member(source, ctx, day_grid, rng)
+        if member is None:
             retries += 1
+            resampled += 1
             if retries > MAX_RETRIES:
                 raise np.linalg.LinAlgError(f"the covariance failed to factor, or the draw was not finite, "
                                             f"{retries} times in a row")
             continue
         retries = 0
-        pushforward[j] = y
-        samples[j] = y + noise
+        pushforward[j], samples[j] = member
         j += 1
-    return ForecastEnsemble(samples=samples, pushforward=pushforward, day_grid=day_grid)
+    return ForecastEnsemble(samples=samples, pushforward=pushforward, day_grid=day_grid, resampled=resampled)
 
 
 def _crps_energy(samples, obs):

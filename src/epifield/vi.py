@@ -13,18 +13,14 @@ comparison.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from .helpers import Helpers, helper_count
 from .likelihood import NoiseParams
 from .model import RegionParams
 from .params import ParamVector, slots, softplus, softplus_inv
@@ -144,7 +140,7 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     d x / d rho = sigma'(rho) * eps.  Returns (elbo, grad_mu, grad_rho).
 
     The draws are evaluated one after another in this process, or, given
-    `helpers` (a `_Helpers` started on this target), in contiguous blocks
+    `helpers` (`_ElboHelpers` started on this target), in contiguous blocks
     spread over the helper processes and this one.  Either way the values
     and gradients are summed in draw order, so both give the same bits.
     """
@@ -167,140 +163,17 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     return elbo, g_mu, g_rho
 
 
-# Processes an Adam loop uses at most, itself and its helpers.  One helper is
-# the only count whose speed and memory were measured (on 2 vCPUs); more stay
-# unused until they are.
-MAX_ELBO_PROCESSES = 2
-
-
-def _helper_count(n_samples):
-    """How many helpers an Adam loop of n_samples draws gets:
-    min(usable CPUs, n_samples, MAX_ELBO_PROCESSES) - 1, or 0 where the `fork` start method
-    or the CPU affinity call is missing, or in a daemonic process (a `multiprocessing.Pool`
-    worker, say), which may not start any.  CPU quotas (cgroup `cpu.max`) are not counted."""
-    if (not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 0
-    return min(len(os.sched_getaffinity(0)), n_samples, MAX_ELBO_PROCESSES) - 1
-
-
-class _HelperTraceback(Exception):
-    """The traceback of an error raised in a helper: the cause of its re-raise in the parent."""
-
-
-def _portable(exc):
-    """(exc, its traceback text), with exc replaced by a RuntimeError if it would not unpickle as itself."""
-    text = traceback.format_exc()
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc, text
-
-
-def _serve(conn, target, parent_ends):
-    """A helper's loop: answer each block of draws from the pipe until the parent closes it.
-
-    An answer is (results, None), or (None, (error, traceback text)) when an evaluation raised.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    # Closing the inherited parent ends lets the parent's close reach this helper as EOF.
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            xs = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (_evaluate(target, xs), None)
-        except Exception as exc:
-            reply = (None, _portable(exc))
-        try:
-            conn.send(reply)
-        except BrokenPipeError:
-            return
-
-
-def _exited(proc):
-    """The error for a helper that went away without answering, naming its exit code."""
-    proc.join(5.0)
-    return RuntimeError(f"ELBO helper process {proc.pid} exited with code {proc.exitcode} without answering")
-
-
-class _Helpers:
-    """Forked processes that evaluate blocks of ELBO draws, each fed through its own pipe.
-
-    Each helper evaluates the copy of `target` that existed when it was
-    forked, so the target must be a pure function of x.  Used as a context
-    manager: leaving it closes the pipes and joins the helpers.  With no
-    helpers, `evaluate` is the in-process loop.
-    """
+class _ElboHelpers(Helpers):
+    """Helpers that evaluate contiguous blocks of ELBO draws on the target they were forked with."""
 
     def __init__(self, target, n_helpers):
         self.target = target
-        self._conns, self._procs = [], []
-        try:
-            for _ in range(n_helpers):
-                fork = multiprocessing.get_context("fork")
-                conn, child_end = fork.Pipe()
-                self._conns.append(conn)
-                proc = fork.Process(target=_serve, args=(child_end, target, list(self._conns)), daemon=True)
-                proc.start()
-                child_end.close()
-                self._procs.append(proc)
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        super().__init__(lambda xs: _evaluate(target, xs), n_helpers)
 
     def evaluate(self, xs):
-        """self.target.logpost_and_grad at each row of xs, in row order, like `_evaluate`.
-
-        Helper i gets block i + 1 of len(helpers) + 1 contiguous blocks; this
-        process evaluates block 0 meanwhile.  Every answer is read before an
-        error is raised: this process's own, else the earliest helper's, with
-        its own type.
-        """
-        blocks = np.array_split(xs, len(self._conns) + 1)
-        for conn, proc, block in zip(self._conns, self._procs, blocks[1:]):
-            try:
-                conn.send(block)
-            except OSError:
-                raise _exited(proc) from None
-        try:
-            results = _evaluate(self.target, blocks[0])
-        finally:
-            replies = [self._receive(conn, proc) for conn, proc in zip(self._conns, self._procs)]
-        for block_results, error in replies:
-            if error is not None:
-                exc, text = error
-                raise exc from (_HelperTraceback(text) if text else None)
-            results += block_results
-        return results
-
-    @staticmethod
-    def _receive(conn, proc):
-        """A helper's answer; one that exited without answering gives (None, (its error, None))."""
-        try:
-            return conn.recv()
-        except EOFError:
-            return None, (_exited(proc), None)
-
-    def close(self):
-        """Close the pipes, so the helpers exit, and join them; one still running after 5 s is killed."""
-        for conn in self._conns:
-            conn.close()
-        for proc in self._procs:
-            proc.join(5.0)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
+        """self.target.logpost_and_grad at each row of xs, in row order, like `_evaluate`;
+        helper i evaluates block i + 1 of len(self) + 1 contiguous blocks."""
+        return [r for block in self.map(np.array_split(xs, len(self) + 1)) for r in block]
 
 
 def elbo_grad_score(state: VariationalState, target, n_samples, seed=0, eps=None):
@@ -405,13 +278,13 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
     as an update makes the state non-finite (Adam cannot recover), or when
     the last iteration's ELBO is non-finite.
 
-    After the MLE, min(usable CPUs, config.n_samples, MAX_ELBO_PROCESSES)
-    - 1 helper processes are forked (Linux `fork` start method; at most one,
-    as MAX_ELBO_PROCESSES is 2) and each iteration's draws are spread over
-    them and this process; they are joined before the function returns or
-    raises.  CPU quotas are not counted.  The result is bit-identical to
-    evaluating every draw here, which happens with one usable CPU, with
-    n_samples 1, without `fork`, or in a daemonic process.  Helpers evaluate
+    After the MLE, `helpers.helper_count(config.n_samples)` helper processes
+    are forked (Linux `fork` start method; at most one, as
+    helpers.MAX_PROCESSES is 2; a cgroup v2 CPU quota lowers the usable
+    CPUs) and each iteration's draws are spread over them and this process;
+    they are joined before the function returns or raises.  The result is
+    bit-identical to evaluating every draw here, which happens with one
+    usable CPU, with n_samples 1, without `fork`, or in a daemonic process.  Helpers evaluate
     forked copies of ctx, so `ctx.logpost_and_grad` must be a pure function
     of x (ModelContext's is), and since `fork` copies only the calling
     thread, no other thread of the process should run meanwhile.  An error a
@@ -426,7 +299,7 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
     trace = ElboTrace()
     d = state.dim
     bad_streak = 0
-    with _Helpers(ctx, _helper_count(config.n_samples)) as helpers:
+    with _ElboHelpers(ctx, helper_count(config.n_samples)) as helpers:
         t_start = time.perf_counter()
         for it in range(config.max_iters):
             eps = sample_epsilon(config.n_samples, d, seed=[config.seed, it])

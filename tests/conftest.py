@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import epifield.helpers
 from epifield import (
     IncubationParams,
     ModelContext,
@@ -53,6 +56,17 @@ def make_context(n_regions=3, n_days=40, seed=0, truth=None):
         prior=PriorSpec(),
     )
     return ctx, truth
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes n CPUs usable: os.sched_getaffinity reports n, and no cgroup CPU quota is found."""
+
+    def usable(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(epifield.helpers, "PROC_CGROUP", os.devnull)
+
+    return usable
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.resources
 import json
 import shutil
@@ -621,6 +622,31 @@ class TestEnsembleArtifact:
         assert rewritten.keys() == original.keys()
         assert all(np.array_equal(rewritten[k], original[k]) for k in original)
         assert (tmp_path / "forecast.csv").read_bytes() == forecast_csv
+
+    def test_forecast_prints_and_stores_the_resample_count(self, tmp_path, monkeypatch, capsys):
+        real = epifield.cli.sample_ppt
+        monkeypatch.setattr(epifield.cli, "sample_ppt",
+                            lambda *a, **kw: dataclasses.replace(real(*a, **kw), resampled=3))
+        args = _simulate_and_fit(tmp_path)
+        capsys.readouterr()
+        assert main(["forecast", *args]) == 0
+        assert "3 failed draw(s) resampled for its 20 members" in capsys.readouterr().out
+        npz = tmp_path / "ensemble.npz"
+        stored = _npz_arrays(npz)
+        assert stored["resampled"] == 3
+        assert epifield.cli._read_ensemble_npz(npz, str(stored["key"])).resampled == 3
+
+    def test_a_file_without_the_resample_count_is_redrawn(self, tmp_path, draws):
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        alarms = (tmp_path / "alarms.csv").read_bytes()
+        stored = _npz_arrays(npz)
+        del stored["resampled"]
+        np.savez(npz, allow_pickle=False, **stored)
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        assert "resampled" in _npz_arrays(npz)
+        assert (tmp_path / "alarms.csv").read_bytes() == alarms
 
     @pytest.mark.parametrize("command", ["detect", "exceedance", "crps"])
     def test_a_non_finite_file_is_redrawn_not_scored(self, tmp_path, draws, command):

@@ -1,19 +1,31 @@
+import importlib.resources
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+import epifield.forecast
 from epifield import (
     ForecastEnsemble,
+    IncubationParams,
+    ModelContext,
+    ParamVector,
     VariationalState,
     crps,
     crps_ratio_and_fit,
     crps_samples,
+    load_region_graph,
     sample_ppt,
+    synthetic_counts,
 )
-from epifield.forecast import _draw_unconstrained
+from epifield.forecast import MAX_RETRIES, _draw_unconstrained
+from epifield.helpers import Helpers
+from epifield.likelihood import correlated_noise
 from epifield.mcmc import ChainState
 from epifield.vi import default_initial_guess, mle_fit
 
-from conftest import make_context
+from conftest import make_context, random_paramvector
 
 
 def crps_bruteforce(samples, y, n_grid=20_000):
@@ -208,3 +220,147 @@ class TestSamplePpt:
         with pytest.raises(ValueError, match="day_grid") as info:
             sample_ppt(state, ctx, np.array(grid), n_samples=5)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def serial_sample_ppt(source, ctx, day_grid, n_samples, seed):
+    """sample_ppt's former one-by-one loop, kept as the oracle of its helper path:
+    (samples, pushforward, the member index of each failed draw, in order)."""
+    rng = np.random.default_rng(seed)
+    tf = ctx.transforms
+    samples = np.empty((n_samples, day_grid.size, ctx.n_regions))
+    pushforward = np.empty_like(samples)
+    failed_at = []
+    j = retries = 0
+    while j < n_samples:
+        xhat = _draw_unconstrained(source, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
+                y = ctx.predictions(theta, day_grid=day_grid)
+                noise = correlated_noise(ctx.graph, theta.noise, y, rng)
+                failed = not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise)))
+            except (ValueError, np.linalg.LinAlgError):
+                failed = True
+        if failed:
+            failed_at.append(j)
+            retries += 1
+            if retries > MAX_RETRIES:
+                raise np.linalg.LinAlgError(f"{retries} times in a row")
+            continue
+        retries = 0
+        pushforward[j] = y
+        samples[j] = y + noise
+        j += 1
+    return samples, pushforward, failed_at
+
+
+def _nm_context(seed=3, n_days=30):
+    """A fit context on the 33-county NM fixture graph, with observations drawn from the model."""
+    fix = importlib.resources.files("epifield") / "fixtures"
+    graph = load_region_graph(str(fix / "nm_regions.csv"), str(fix / "nm_edges.csv"))
+    day_grid = np.arange(1.0, n_days + 1.0)
+    truth = random_paramvector(np.random.default_rng(seed), graph.n_regions, day_start=day_grid[0])
+    obs, _ = synthetic_counts(truth, graph, IncubationParams(), day_grid, seed=seed)
+    return ModelContext(graph=graph, day_grid=day_grid, y_obs=obs), truth
+
+
+CONTEXTS = {"path3": lambda: make_context(3, 40, seed=3), "nm33": _nm_context}
+
+
+def _source(kind, ctx, truth):
+    """A variational state or a 20-draw chain around the truth, in unconstrained space."""
+    mu = ctx.transforms.inverse(truth.values)
+    if kind == "variational":
+        return VariationalState.around(mu, sigma=0.05)
+    rng = np.random.default_rng(7)
+    return ChainState(samples=mu + 0.05 * rng.standard_normal((20, mu.size)), log_posts=np.zeros(20),
+                      acceptance_rate=0.3)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The helper count of every Helpers that sample_ppt starts, in order."""
+    counts = []
+
+    class Counted(Helpers):
+        def __init__(self, work, n_helpers):
+            super().__init__(work, n_helpers)
+            counts.append(len(self))
+
+    monkeypatch.setattr(epifield.forecast, "Helpers", Counted)
+    return counts
+
+
+def _same_ensemble(ens, oracle):
+    samples, pushforward, failed_at = oracle
+    return (np.array_equal(ens.samples, samples) and np.array_equal(ens.pushforward, pushforward)
+            and ens.resampled == len(failed_at))
+
+
+class TestSamplePptHelpers:
+    @pytest.mark.parametrize("kind", ["variational", "chain"])
+    @pytest.mark.parametrize("context", sorted(CONTEXTS))
+    @pytest.mark.parametrize("n_helpers", [1, 3])
+    def test_bit_identical_to_the_one_by_one_loop(self, cpus, monkeypatch, started, context, kind, n_helpers):
+        ctx, truth = CONTEXTS[context]()
+        source = _source(kind, ctx, truth)
+        grid = np.arange(0.0, ctx.day_grid.size + 14.0)
+        if n_helpers == 1:
+            cpus(2)  # blocks of 6 and 5 members
+        else:
+            monkeypatch.setattr(epifield.forecast, "helper_count", lambda n: 3)  # blocks of 3, 3, 3 and 2
+        ens = sample_ppt(source, ctx, grid, n_samples=11, seed=4)
+        assert started == [n_helpers]
+        assert _same_ensemble(ens, serial_sample_ppt(source, ctx, grid, 11, 4))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failed_draws_in_every_block_are_redrawn_as_one_by_one(self, cpus, started, n_cpus):
+        # sigma = 300 in every slot: draws fail at members 1, 1, 19, 21, 25, 26, 29, 29, 31, 31 and 46,
+        # so with one helper (blocks of 25 members) failures land in both blocks.
+        ctx, _ = make_context(2, 10, seed=1)
+        state = VariationalState(mu=default_initial_guess(ctx), rho=np.full(ctx.dim, 300.0))
+        oracle = serial_sample_ppt(state, ctx, ctx.day_grid, 50, 0)
+        assert oracle[2] == [1, 1, 19, 21, 25, 26, 29, 29, 31, 31, 46]
+        cpus(n_cpus)
+        ens = sample_ppt(state, ctx, ctx.day_grid, n_samples=50, seed=0)
+        assert started == [n_cpus - 1]
+        assert ens.resampled == 11 and _same_ensemble(ens, oracle)
+        assert multiprocessing.active_children() == []
+
+    def test_only_non_finite_draws_is_a_numerical_failure_with_a_helper(self, cpus, started):
+        ctx, _ = make_context(2, 10, seed=1)
+        mu = default_initial_guess(ctx)
+        mu[1] = 800.0  # N[0] = exp(800) overflows in every draw
+        cpus(2)
+        with pytest.raises(np.linalg.LinAlgError, match="11 times in a row"):
+            sample_ppt(VariationalState.around(mu, sigma=1e-6), ctx, ctx.day_grid, n_samples=5)
+        assert started == [1]
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_forks_nothing(self, cpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        ctx, truth = make_context(3, 20, seed=3)
+        cpus(1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        ens = sample_ppt(_source("variational", ctx, truth), ctx, ctx.day_grid, n_samples=6, seed=2)
+        assert np.all(np.isfinite(ens.samples))
+
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyError])
+    def test_a_helper_error_reaches_the_caller_with_its_type(self, cpus, monkeypatch, error):
+        parent = os.getpid()
+
+        def noise_or_fail(*args):
+            if os.getpid() != parent:
+                raise error("raised in a helper")
+            return correlated_noise(*args)
+
+        ctx, truth = make_context(3, 20, seed=3)
+        cpus(2)
+        monkeypatch.setattr(epifield.forecast, "correlated_noise", noise_or_fail)
+        with pytest.raises(error, match="raised in a helper") as exc:
+            sample_ppt(_source("variational", ctx, truth), ctx, ctx.day_grid, n_samples=6, seed=2)
+        assert "in noise_or_fail" in str(exc.value.__cause__)  # the helper's traceback
+        assert multiprocessing.active_children() == []

@@ -15,14 +15,14 @@ from epifield import (
     mle_fit,
 )
 from epifield.checks import elbo_gradient_max_relerr, loglik_gradient_max_relerr
+from epifield.helpers import helper_count
 from epifield.vi import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
     DivergenceError,
-    _helper_count,
-    _Helpers,
+    _ElboHelpers,
     _mle_bounds,
     default_initial_guess,
     gaussian_entropy,
@@ -319,12 +319,6 @@ class TestFitMfvi:
         assert np.isnan(exc.value.trace.elbo[3:]).all()
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes os.sched_getaffinity report n usable CPUs."""
-    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 class Quadratic:
     """A pure target, -x.x / 2, that calls fail() first in any process but the one that made it."""
 
@@ -356,7 +350,7 @@ class TestHelpers:
         ctx, _ = make_context(3, 40, seed=3)
         state = VariationalState.around(default_initial_guess(ctx))
         oracle = elbo_grad_reparam(state, ctx, 10, seed=5)
-        with _Helpers(ctx, 3) as helpers:  # blocks of 3, 3, 2 and 2 draws
+        with _ElboHelpers(ctx, 3) as helpers:  # blocks of 3, 3, 2 and 2 draws
             got = elbo_grad_reparam(state, ctx, 10, seed=5, helpers=helpers)
             with pytest.raises(ValueError, match="another target"):
                 elbo_grad_reparam(state, make_context(3, 40, seed=4)[0], 10, seed=5, helpers=helpers)
@@ -365,8 +359,8 @@ class TestHelpers:
 
     def test_helper_count_is_capped_at_the_measured_one(self, cpus):
         cpus(64)
-        assert _helper_count(200) == 1
-        assert _helper_count(1) == 0
+        assert helper_count(200) == 1
+        assert helper_count(1) == 0
 
     def test_no_process_is_left_after_divergence(self, cpus):
         class Exploding:
