@@ -21,7 +21,7 @@ import numpy as np
 from . import checks, plots
 from .config import ENSEMBLE_FIELDS, FIT_FIELDS, RunConfig, content_hash
 from .data import CaseData, ingest_cases, smooth, synthetic_counts, write_cases_csv
-from .forecast import ForecastEnsemble, crps, crps_ratio_and_fit, sample_ppt
+from .forecast import DRAW_SCHEME, ForecastEnsemble, crps, crps_ratio_and_fit, sample_ppt
 from .graph import RegionGraph, load_region_graph
 from .likelihood import NoiseParams
 from .mcmc import run_amcmc
@@ -199,14 +199,14 @@ def _ensemble_for(cfg, args, inputs, reuse=True):
     """The posterior-predictive ensemble of a downstream command.
 
     The ensemble spans the fit window and the forecast_days after it.  It is
-    read from <out>/ensemble.npz when its key (the config's ENSEMBLE_FIELDS
-    and fit.json's bytes) matches, and otherwise drawn and written there;
-    `reuse=False` always draws.
+    read from <out>/ensemble.npz when its key (the config's ENSEMBLE_FIELDS,
+    fit.json's bytes and `forecast.DRAW_SCHEME`) matches, and otherwise drawn
+    and written there; `reuse=False` always draws.
     """
     state, fit_bytes = _load_fit(inputs, args)
     grid = np.arange(inputs.window.n_days + cfg.forecast_days, dtype=float)
     path = Path(args.out) / "ensemble.npz"
-    key = content_hash(cfg, fit_bytes, fields=ENSEMBLE_FIELDS)
+    key = content_hash(cfg, fit_bytes, DRAW_SCHEME, fields=ENSEMBLE_FIELDS)
     ensemble = _read_ensemble_npz(path, key) if reuse else None
     if ensemble is None:
         ensemble = sample_ppt(state, inputs.ctx, grid, n_samples=cfg.ppt_samples, seed=cfg.seed)

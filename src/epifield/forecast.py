@@ -16,8 +16,11 @@ from .posterior import ModelContext
 from .vi import VariationalState
 
 PERCENTILES = (5, 25, 50, 75, 95)
-# Draws in a row whose covariance may fail to factor before sample_ppt gives up.
+# Times in a row one member may be drawn again; sample_ppt raises at the failure after the last.
 MAX_RETRIES = 10
+# Names how sample_ppt turns its seed into draws.  The CLI keys stored ensembles with it, so a
+# file drawn under another scheme is drawn again: change it whenever the draws change.
+DRAW_SCHEME = b"sample_ppt: one SeedSequence(seed).spawn stream per member"
 
 
 @dataclass(frozen=True)
@@ -89,86 +92,53 @@ def _draw_member(source, ctx: ModelContext, day_grid, rng):
     return y, y + noise
 
 
-def _skip_member(source, member_shape, rng):
-    """Advance rng past one member that is drawn without failing, without computing it: the draws
-    of `_draw_member` are the unconstrained sample, then one normal per day and region."""
-    _draw_unconstrained(source, rng)
-    rng.standard_normal(member_shape)
-
-
 def sample_ppt(source, ctx: ModelContext, day_grid, n_samples=100, seed=0):
     """Posterior predictive test ensemble over day_grid.
 
     Each draw maps a posterior sample to constrained parameters, computes
     the daily predictions, and adds day-wise noise correlated across
-    regions through the fitted covariance.  Draws whose covariance fails
-    to factor, or whose predictions or noise are not finite, are resampled
-    (the ensemble's `resampled` counts them); after MAX_RETRIES of them in
-    a row it raises LinAlgError.
+    regions through the fitted covariance.  Member j is drawn from its own
+    generator, seeded by child j of `np.random.SeedSequence(seed).spawn(n_samples)`.
+    A draw whose covariance fails to factor, or whose predictions or noise
+    are not finite, is drawn again from that member's generator (the
+    ensemble's `resampled` counts these); after MAX_RETRIES + 1 failed
+    draws in a row for one member it raises LinAlgError.
 
     The members are split into `helpers.helper_count(n_samples) + 1`
     contiguous blocks: block 0 is drawn here and block b by forked helper
-    b.  Each block starts from the generator state that the one-by-one loop
-    would have at its first member if no earlier draw failed, and stops at
-    its own first failed draw.  The members before the first failure are
-    kept; from it on, this process draws the rest one by one, with the
-    retries.  So the ensemble is bit-identical to drawing every member
-    here, as happens with one usable CPU.  Both arrays live in one shared
-    anonymous mmap, which the helpers fill in place: only member indices
-    and generator states cross their pipes.
+    b.  Since no member's draws depend on another's, the ensemble is
+    bit-identical however the members are split, and to drawing every
+    member here, as happens with one usable CPU.  Both arrays live in one
+    shared anonymous mmap, which the helpers fill in place: only member
+    indices and resample counts cross their pipes.
     """
     if n_samples < 2:
         raise ValueError("at least 2 ensemble members required")
-    rng = np.random.default_rng(seed)
     # Checked before the draws, so the retries below only ever see numerical failures.
     day_grid = _checked_day_grid(day_grid)
     shape = (n_samples, day_grid.size, ctx.n_regions)
     # Shared with the helpers forked below, which fill their members in place.
     buffer = mmap.mmap(-1, 2 * int(np.prod(shape)) * np.dtype(float).itemsize)
     pushforward, samples = np.frombuffer(buffer, dtype=float).reshape((2, *shape))
+    streams = np.random.SeedSequence(seed).spawn(n_samples)
 
-    def draw_block(block):
-        """Draw members lo to hi - 1 from generator state `start`: (hi, None), or at the first
-        failed draw (its index, the generator state just before it)."""
-        lo, hi, start = block
-        rng.bit_generator.state = start
-        for j in range(lo, hi):
-            before = rng.bit_generator.state
-            member = _draw_member(source, ctx, day_grid, rng)
-            if member is None:
-                return j, before
+    def draw_block(members):
+        """Draw the given members in place; returns how many of their draws failed and were drawn again."""
+        resampled = 0
+        for j in members:
+            rng = np.random.default_rng(streams[j])
+            failed = 0
+            while (member := _draw_member(source, ctx, day_grid, rng)) is None:
+                failed += 1
+                if failed > MAX_RETRIES:
+                    raise np.linalg.LinAlgError(f"the covariance failed to factor, or the draw was not finite, "
+                                                f"{failed} times in a row")
+            resampled += failed
             pushforward[j], samples[j] = member
-        return hi, None
+        return resampled
 
-    n_helpers = helper_count(n_samples)
-    blocks = []
-    for members in np.array_split(np.arange(n_samples), n_helpers + 1):
-        lo, hi = int(members[0]), int(members[-1]) + 1
-        blocks.append((lo, hi, rng.bit_generator.state))
-        if hi < n_samples:  # the next block starts from the state after this one's draws
-            for _ in range(lo, hi):
-                _skip_member(source, shape[1:], rng)
-    with Helpers(draw_block, n_helpers) as helpers:
-        drawn = helpers.map(blocks)
-    # The members before the first failed draw are kept; from it on, they are drawn one by one.
-    j = n_samples
-    for end, before in drawn:
-        if before is not None:
-            j, rng.bit_generator.state = end, before
-            break
-    retries = resampled = 0
-    while j < n_samples:
-        member = _draw_member(source, ctx, day_grid, rng)
-        if member is None:
-            retries += 1
-            resampled += 1
-            if retries > MAX_RETRIES:
-                raise np.linalg.LinAlgError(f"the covariance failed to factor, or the draw was not finite, "
-                                            f"{retries} times in a row")
-            continue
-        retries = 0
-        pushforward[j], samples[j] = member
-        j += 1
+    with Helpers(draw_block, helper_count(n_samples)) as helpers:
+        resampled = sum(helpers.map(range(n_samples)))
     return ForecastEnsemble(samples=samples, pushforward=pushforward, day_grid=day_grid, resampled=resampled)
 
 

@@ -135,15 +135,17 @@ class Helpers:
     def __exit__(self, *exc):
         self.close()
 
-    def map(self, blocks):
-        """[work(block) for block in blocks], for len(self) + 1 blocks.
+    def map(self, items):
+        """[work(block) for block in blocks]: items split into len(self) + 1 contiguous blocks,
+        in order, of np.array_split's sizes (the first len(items) % (len(self) + 1) hold one more).
 
         Helper i runs block i + 1; this process runs block 0 meanwhile.  Every
         answer is read before an error is raised: this process's own, else the
         earliest helper's, with its own type.
         """
-        if len(blocks) != len(self) + 1:
-            raise ValueError(f"{len(blocks)} block(s) for {len(self)} helper(s) and this process")
+        n, k = len(items), len(self) + 1
+        edges = [b * (n // k) + min(b, n % k) for b in range(k + 1)]
+        blocks = [items[lo:hi] for lo, hi in zip(edges, edges[1:])]
         for conn, proc, block in zip(self._conns, self._procs, blocks[1:]):
             try:
                 conn.send(block)

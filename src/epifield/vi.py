@@ -172,8 +172,8 @@ class _ElboHelpers(Helpers):
 
     def evaluate(self, xs):
         """self.target.logpost_and_grad at each row of xs, in row order, like `_evaluate`;
-        helper i evaluates block i + 1 of len(self) + 1 contiguous blocks."""
-        return [r for block in self.map(np.array_split(xs, len(self) + 1)) for r in block]
+        helper i evaluates block i + 1 of the contiguous blocks that `map` splits xs into."""
+        return [r for block in self.map(xs) for r in block]
 
 
 def elbo_grad_score(state: VariationalState, target, n_samples, seed=0, eps=None):

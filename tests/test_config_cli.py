@@ -648,6 +648,21 @@ class TestEnsembleArtifact:
         assert "resampled" in _npz_arrays(npz)
         assert (tmp_path / "alarms.csv").read_bytes() == alarms
 
+    def test_a_file_keyed_without_the_draw_scheme_is_redrawn(self, tmp_path, draws):
+        # The key of a file drawn before the draw scheme was hashed in: same config and fit.json.
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        alarms, stored = (tmp_path / "alarms.csv").read_bytes(), _npz_arrays(npz)
+        old_key = content_hash(RunConfig.load(args[1]), (tmp_path / "fit.json").read_bytes(), fields=ENSEMBLE_FIELDS)
+        assert old_key != str(stored["key"])
+        stale = ForecastEnsemble(samples=2.0 * stored["samples"], pushforward=stored["pushforward"],
+                                 day_grid=stored["day_grid"])
+        epifield.cli._write_ensemble_npz(stale, old_key, npz)
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        assert np.array_equal(_npz_arrays(npz)["samples"], stored["samples"])
+        assert (tmp_path / "alarms.csv").read_bytes() == alarms
+
     @pytest.mark.parametrize("command", ["detect", "exceedance", "crps"])
     def test_a_non_finite_file_is_redrawn_not_scored(self, tmp_path, draws, command):
         args = _simulate_and_fit(tmp_path)

@@ -223,34 +223,32 @@ class TestSamplePpt:
 
 
 def serial_sample_ppt(source, ctx, day_grid, n_samples, seed):
-    """sample_ppt's former one-by-one loop, kept as the oracle of its helper path:
-    (samples, pushforward, the member index of each failed draw, in order)."""
-    rng = np.random.default_rng(seed)
+    """The plain loop that sample_ppt must match however it splits the members, kept as its oracle:
+    member j is drawn from a generator on spawned stream j, and a failed draw is drawn again from it.
+    Returns (samples, pushforward, the member index of each failed draw, in order)."""
     tf = ctx.transforms
     samples = np.empty((n_samples, day_grid.size, ctx.n_regions))
     pushforward = np.empty_like(samples)
     failed_at = []
-    j = retries = 0
-    while j < n_samples:
-        xhat = _draw_unconstrained(source, rng)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
-                y = ctx.predictions(theta, day_grid=day_grid)
-                noise = correlated_noise(ctx.graph, theta.noise, y, rng)
-                failed = not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise)))
-            except (ValueError, np.linalg.LinAlgError):
-                failed = True
-        if failed:
+    for j, stream in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        rng = np.random.default_rng(stream)
+        for _ in range(MAX_RETRIES + 1):
+            xhat = _draw_unconstrained(source, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    theta = ParamVector(values=tf.forward(xhat), n_regions=ctx.n_regions)
+                    y = ctx.predictions(theta, day_grid=day_grid)
+                    noise = correlated_noise(ctx.graph, theta.noise, y, rng)
+                    failed = not (np.all(np.isfinite(y)) and np.all(np.isfinite(noise)))
+                except (ValueError, np.linalg.LinAlgError):
+                    failed = True
+            if not failed:
+                break
             failed_at.append(j)
-            retries += 1
-            if retries > MAX_RETRIES:
-                raise np.linalg.LinAlgError(f"{retries} times in a row")
-            continue
-        retries = 0
+        else:
+            raise np.linalg.LinAlgError(f"{MAX_RETRIES + 1} times in a row")
         pushforward[j] = y
         samples[j] = y + noise
-        j += 1
     return samples, pushforward, failed_at
 
 
@@ -314,19 +312,43 @@ class TestSamplePptHelpers:
         assert _same_ensemble(ens, serial_sample_ppt(source, ctx, grid, 11, 4))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_failed_draws_in_every_block_are_redrawn_as_one_by_one(self, cpus, started, n_cpus):
-        # sigma = 300 in every slot: draws fail at members 1, 1, 19, 21, 25, 26, 29, 29, 31, 31 and 46,
-        # so with one helper (blocks of 25 members) failures land in both blocks.
+    @staticmethod
+    def _rho_300():
+        """sigma = 300 in every slot: many draws fail, in both 25-member blocks of a 50-member ensemble."""
         ctx, _ = make_context(2, 10, seed=1)
-        state = VariationalState(mu=default_initial_guess(ctx), rho=np.full(ctx.dim, 300.0))
+        return ctx, VariationalState(mu=default_initial_guess(ctx), rho=np.full(ctx.dim, 300.0))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failed_draws_in_both_blocks_are_redrawn_from_their_own_members_streams(self, cpus, started, n_cpus):
+        ctx, state = self._rho_300()
         oracle = serial_sample_ppt(state, ctx, ctx.day_grid, 50, 0)
-        assert oracle[2] == [1, 1, 19, 21, 25, 26, 29, 29, 31, 31, 46]
+        assert oracle[2] == [6, 6, 11, 11, 12, 13, 17, 17, 20, 32, 38, 47, 49]
         cpus(n_cpus)
         ens = sample_ppt(state, ctx, ctx.day_grid, n_samples=50, seed=0)
         assert started == [n_cpus - 1]
-        assert ens.resampled == 11 and _same_ensemble(ens, oracle)
+        assert ens.resampled == 13 and _same_ensemble(ens, oracle)
         assert multiprocessing.active_children() == []
+
+    def test_the_calling_process_draws_only_block_zero(self, cpus, monkeypatch):
+        # An early failed draw leaves the helper's block to the helper: this process draws
+        # its own 25 members and their redraws, not the rest of the ensemble.
+        ctx, state = self._rho_300()
+        failed_at = serial_sample_ppt(state, ctx, ctx.day_grid, 50, 0)[2]
+        parent, real, calls = os.getpid(), epifield.forecast._draw_member, []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(epifield.forecast, "_draw_member", counted)
+        cpus(2)
+        ens = sample_ppt(state, ctx, ctx.day_grid, n_samples=50, seed=0)
+        assert len(calls) == 25 + sum(j < 25 for j in failed_at) == 34
+        cpus(1)
+        alone = sample_ppt(state, ctx, ctx.day_grid, n_samples=50, seed=0)
+        assert np.array_equal(ens.samples, alone.samples) and np.array_equal(ens.pushforward, alone.pushforward)
+        assert ens.resampled == alone.resampled == 13
 
     def test_only_non_finite_draws_is_a_numerical_failure_with_a_helper(self, cpus, started):
         ctx, _ = make_context(2, 10, seed=1)

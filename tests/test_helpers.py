@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 import epifield.helpers
@@ -42,9 +43,13 @@ class TestHelperCount:
 class TestMap:
     def test_runs_block_zero_here_and_the_rest_in_helpers(self):
         with Helpers(lambda block: (block, os.getpid()), 2) as helpers:
-            results = helpers.map(["a", "b", "c"])
-            with pytest.raises(ValueError, match="2 block"):
-                helpers.map(["a", "b"])
-        assert [block for block, _ in results] == ["a", "b", "c"]
+            results = helpers.map(list("abcdefg"))
+        assert [block for block, _ in results] == [list("abc"), list("de"), list("fg")]
         pids = [pid for _, pid in results]
         assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+    def test_splits_like_array_split(self):
+        with Helpers(list, 3) as helpers:
+            for n in range(10):  # down to fewer items than processes, and none
+                expected = [block.tolist() for block in np.array_split(np.arange(n), 4)]
+                assert helpers.map(range(n)) == expected, n
