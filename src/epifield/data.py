@@ -70,13 +70,20 @@ def ingest_cases(path, graph: RegionGraph):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            date = dt.date.fromisoformat(row["date"])
-            count = float(row["count"])
+            where = f"line {reader.line_num} of {path}"
+            try:
+                date = dt.date.fromisoformat(row["date"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad date {row['date']!r} ({exc}; {where})") from None
+            try:
+                count = float(row["count"])
+            except (TypeError, ValueError):
+                raise ValueError(f"count {row['count']!r} for {row['region_id']} on {date} is not a number "
+                                 f"({where})") from None
             if not math.isfinite(count):
-                raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} "
-                                 f"(line {reader.line_num} of {path})")
+                raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} ({where})")
             if count < 0:
-                raise ValueError(f"negative count for {row['region_id']} on {date}")
+                raise ValueError(f"negative count for {row['region_id']} on {date} ({where})")
             rows.append((date, row["region_id"], count))
     unknown = sorted({rid for _, rid, _ in rows} - set(graph.region_ids))
     if unknown:

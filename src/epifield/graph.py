@@ -87,10 +87,14 @@ def load_region_graph(regions_csv, edges_csv):
     index = {rid: i for i, rid in enumerate(ids)}
     W = np.zeros((len(ids), len(ids)))
     with open(edges_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
             a, b = row["region_a"], row["region_b"]
+            where = f"line {reader.line_num} of {edges_csv}"
             if a not in index or b not in index:
-                raise ValueError(f"edge references unknown region: {a!r}-{b!r}")
+                raise ValueError(f"edge references unknown region: {a!r}-{b!r} ({where})")
+            if a == b:
+                raise ValueError(f"edge joins region {a!r} to itself ({where})")
             W[index[a], index[b]] = W[index[b], index[a]] = 1.0
     return RegionGraph(
         region_ids=tuple(ids),

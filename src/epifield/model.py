@@ -5,10 +5,13 @@ incubation CDF gives the expected number of people turning symptomatic
 each day.  The convolution and its parameter derivatives are evaluated by
 Gauss-Legendre quadrature mapped onto [t0, t_i] for each day.  The mapped
 rule is separable: with d_i = t_i - t0 and unit nodes c_j = (x_j + 1)/2,
-node j of day i lies c_j d_i after onset and d_i (1 - c_j) before t_i, so
-the log of the Gamma rate is a per-day term plus per-node terms, one exp
-per node gives the rate, and the parameter partials reduce to mat-vecs of
-the same node products against node-weight vectors (see `_convolve`).
+node j of day i lies c_j d_i after onset and d_i (1 - c_j) before t_i.  So
+the (days x nodes) arrays of the kernel are small matrix products of a
+per-day factor and a constant per-node factor: the log of the Gamma rate is
+(N_d x 3) @ (3 x n) with node rows [c; log c; 1], and the window argument is
+(N_d x 2) @ (2 x n) with node rows [1 - c; 0].  One exp per node gives the
+rate, and the parameter partials reduce to mat-vecs of the same node products
+against node-weight vectors (see `_convolve`).
 
 The incubation window G(r) = F_inc(r) - F_inc(r - 1) depends only on the
 incubation parameters, so it is tabulated once per `IncubationParams` (from
@@ -95,11 +98,14 @@ class QuadratureRule:
 
     @cached_property
     def _node_terms(self):
-        """(c, 1 - c, log c, [w log c, w c], w (1 - c)) with c = (x + 1)/2 in (0, 1):
-        the factors of `_convolve` that depend on the nodes alone."""
+        """The factors of `_convolve` that depend on the nodes alone, with c = (x + 1)/2 in (0, 1):
+        the (3, n) rows [c; log c; 1] of log f, the (2, n) rows [1 - c; 0] of the window
+        argument, the (n, 2) columns [w log c, w c] and w (1 - c)."""
         c = 0.5 * (self.nodes + 1.0)
         w = self.weights
-        return c, 1.0 - c, np.log(c), np.column_stack([w * np.log(c), w * c]), w * (1.0 - c)
+        log_c = np.log(c)
+        return (np.vstack([c, log_c, np.ones_like(c)]), np.vstack([1.0 - c, np.zeros_like(c)]),
+                np.column_stack([w * log_c, w * c]), w * (1.0 - c))
 
 
 def infection_rate(t, p: RegionParams):
@@ -187,11 +193,18 @@ def _window_table(inc: IncubationParams):
 def _incubation_window(r, inc: IncubationParams, with_grad):
     """(G, dG/dr) at r; dG/dr is None unless with_grad.
 
-    Both come from the cubic in `_window_table`; r <= 0 (G(0) = G'(0) = 0)
-    and r >= r_max land on exact zeros.
+    Both come from the cubic in `_window_table`; r <= 0 (G(0) = G'(0) = 0),
+    NaN and r >= r_max land on exact zeros.
     """
-    coef = _window_table(inc)
-    x = np.asarray(r, dtype=float) * _WINDOW_CELLS_PER_DAY
+    return _window_lookup(np.asarray(r, dtype=float) * _WINDOW_CELLS_PER_DAY, _window_table(inc), with_grad)
+
+
+def _window_lookup(x, coef, with_grad):
+    """(G, dG/dr) at r = x / 32 from the table coef of `_window_table`, with x in cells.
+
+    x is a float array that is overwritten.  x <= 0, NaN and x at or past
+    the table's last cell land on exact zeros.
+    """
     np.fmax(x, 0.0, out=x)  # fmax/fmin, unlike clip, also send NaN to the zero at r = 0
     np.fmin(x, coef.shape[1] - 1, out=x)
     cell = x.astype(np.intp)
@@ -213,27 +226,35 @@ def _incubation_window(r, inc: IncubationParams, with_grad):
     return g, a3
 
 
-def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad):
+def _convolve(p: RegionParams, table, day_grid, quad: QuadratureRule, with_grad):
     """The daily convolution y, and with_grad its partials: y or (y, grad).
 
-    day_grid is a float array that `_checked_day_grid` has passed.  Day i's
-    rule on [t0, t_i] has nodes t0 + c_j d_i and weights d_i w_j / 2, with
-    d_i = t_i - t0 and c_j = (x_j + 1)/2; inactive days (t_i <= t0) get d_i = 1.
-    The kernel is separable in day and node: node j of day i sits at offset
-    u_ij = c_j d_i after onset and window argument r_ij = d_i (1 - c_j).  r = 0
-    on inactive days, where G(0) = G'(0) = 0, so their y and partials come out
-    as exact zeros.  The log of the rate is
+    table is the incubation window's `_window_table`, and day_grid a float
+    array that `_checked_day_grid` has passed.  Day i's rule on [t0, t_i] has
+    nodes t0 + c_j d_i and weights d_i w_j / 2, with d_i = t_i - t0 and
+    c_j = (x_j + 1)/2; inactive days (t_i <= t0) get d_i = 1.  The kernel is
+    separable in day and node: node j of day i sits at offset u_ij = c_j d_i
+    after onset and window argument r_ij = d_i (1 - c_j).  The log of the
+    rate is
 
-        log f_ij = alpha_i + (k - 1) log c_j - (d_i / theta) c_j,
+        log f_ij = (d_i / -theta) c_j + (k - 1) log c_j + alpha_i,
         alpha_i = -k log theta - lgamma(k) + (k - 1) log d_i,
 
-    which costs one exp per node.  With F = f G and s = F @ w the prediction is
-    y = N (d/2) s.  The gradient needs one more product, f G', and mat-vecs
-    of F and f G' against node-weight vectors: the rate partials are f times
-    terms linear in log c_j or c_j.  alpha stays inside the exp because
-    exp(alpha) alone overflows at large k log d where f does not.
+    one (N_d, 3) @ (3, n) product of the day rows [d_i / -theta, k - 1, alpha_i]
+    against the node rows [c; log c; 1] of `QuadratureRule._node_terms`, and
+    one exp per node.  The window argument, in the table's 1/32-day cells, is
+    the product [32 d_i, 0] @ [1 - c; 0]: an inner dimension of 2, because
+    numpy's matmul is slow at 1, and the padding adds an exact zero.  The day
+    column is 0 on inactive days, so r = 0 there, where G(0) = G'(0) = 0, and
+    their y and partials come out as exact zeros.
 
-    The window G and dG/dr come from the tabulated cubic (`_incubation_window`),
+    With F = f G and s = F @ w the prediction is y = N (d/2) s.  The gradient
+    needs one more product, f G', and mat-vecs of F and f G' against
+    node-weight vectors: the rate partials are f times terms linear in log c_j
+    or c_j.  alpha stays inside the exp because exp(alpha) alone overflows at
+    large k log d where f does not.
+
+    The window G and dG/dr come from the tabulated cubic (`_window_lookup`),
     so the partials are exact derivatives of the interpolated model.
 
     Accuracy limit of the default 64 nodes: against a 2048-node rule, the
@@ -241,16 +262,20 @@ def _convolve(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadrature
     1-40 with t0 in [-15, -2], but reaches 9.3e-6 on days 1-107 with t0 in
     [-60, -2].
     """
-    c, one_minus_c, log_c, w_logc_c, w_one_minus_c = quad._node_terms
+    rate_rows, window_rows, w_logc_c, w_one_minus_c = quad._node_terms
     active = day_grid > p.t0
     d = np.where(active, day_grid - p.t0, 1.0)
     k, theta, w = p.k, p.theta, quad.weights
     log_d = np.log(d)
-    f = np.multiply.outer(d / -theta, c)
-    f += (k - 1.0) * log_c
-    f += ((k - 1.0) * log_d - k * np.log(theta) - gammaln(k))[:, None]
+    day_rows = np.empty((d.size, 3))
+    day_rows[:, 0] = d / -theta
+    day_rows[:, 1] = k - 1.0
+    day_rows[:, 2] = (k - 1.0) * log_d - k * np.log(theta) - gammaln(k)
+    f = day_rows @ rate_rows
     np.exp(f, out=f)
-    F, dwindow_dr = _incubation_window(np.multiply.outer(d * active, one_minus_c), inc, with_grad)
+    cells = np.zeros((d.size, 2))
+    cells[:, 0] = _WINDOW_CELLS_PER_DAY * d * active
+    F, dwindow_dr = _window_lookup(cells @ window_rows, table, with_grad)
     F *= f
     s = F @ w
     half = 0.5 * d
@@ -275,7 +300,7 @@ def predict_daily(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadra
 
     Days at or before t0 contribute zero; all outputs are nonnegative.
     """
-    return _convolve(p, inc, _checked_day_grid(day_grid), quad, with_grad=False)
+    return _convolve(p, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=False)
 
 
 def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule):
@@ -291,4 +316,4 @@ def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: Q
     Returns (y, grad) with grad of shape (len(day_grid), 4) in the order
     (t0, N, k, theta); y equals predict_daily exactly.
     """
-    return _convolve(p, inc, _checked_day_grid(day_grid), quad, with_grad=True)
+    return _convolve(p, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=True)

@@ -88,11 +88,12 @@ def predict_regions(theta: ParamVector, inc: IncubationParams, day_grid, quad: Q
     day_grid = _checked_day_grid(day_grid)
     y = np.empty((day_grid.size, theta.n_regions))
     grad = np.empty(y.shape + (4,)) if with_grad else None
+    table = _window_table(inc)
     for r in range(theta.n_regions):
         if with_grad:
-            y[:, r], grad[:, r] = _convolve(theta.region(r), inc, day_grid, quad, with_grad)
+            y[:, r], grad[:, r] = _convolve(theta.region(r), table, day_grid, quad, with_grad)
         else:
-            y[:, r] = _convolve(theta.region(r), inc, day_grid, quad, with_grad)
+            y[:, r] = _convolve(theta.region(r), table, day_grid, quad, with_grad)
     return (y, grad) if with_grad else y
 
 

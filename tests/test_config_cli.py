@@ -232,6 +232,30 @@ class TestCliErrors:
         assert main(argv) == 2
         assert "unknown region ids: nosuch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("count", ""), ("date", "2020-13-01")])
+    def test_unreadable_case_cell_names_the_file(self, pipeline, tmp_path, capsys, field, bad):
+        _, cfg_path, out = pipeline
+        with open(Path(out) / "cases.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[4][field] = bad
+        cases = tmp_path / "cases.csv"
+        with open(cases, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        edited = _edited_config(cfg_path, tmp_path, cases_csv=str(cases))
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert f"line 6 of {cases})" in capsys.readouterr().err
+
+    def test_edge_from_a_region_to_itself_names_the_file(self, pipeline, tmp_path, capsys):
+        _, cfg_path, _ = pipeline
+        lines = Path(json.loads(cfg_path.read_text())["edges_csv"]).read_text().splitlines()
+        edges = tmp_path / "edges.csv"
+        edges.write_text("\n".join([*lines, "sandoval,sandoval"]) + "\n")
+        edited = _edited_config(cfg_path, tmp_path, edges_csv=str(edges))
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert f"edge joins region 'sandoval' to itself (line {len(lines) + 1} of {edges})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [{"smoothing_window": 0}, {"smoothing_window": -3},
                                       {"smoothing_window": 4}, {"max_iters": 0}, {"n_smooth": 0},
                                       {"forecast_days": 0}, {"forecast_days": -5}, {"ppt_samples": 1},

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ class TestIngest:
         p = tmp_path / "cases.csv"
         write_rows(p, [("2020-06-01", "a", 1), ("2020-06-01", "b", bad), ("2020-06-01", "b", 2)])
         with pytest.raises(ValueError, match=rf"non-finite count '{bad}' for b on 2020-06-01 \(line 3 of "):
+            ingest_cases(p, GRAPH2)
+
+    @pytest.mark.parametrize("row, message", [
+        (("2020-06-01", "b", ""), "count '' for b on 2020-06-01 is not a number"),
+        (("2020-06-01", "b", "ten"), "count 'ten' for b on 2020-06-01 is not a number"),
+        (("2020-13-01", "b", 2), "bad date '2020-13-01' \\(month must be in 1..12"),
+        (("", "b", 2), "bad date ''"),
+    ])
+    def test_unreadable_cell_names_the_file_and_line(self, tmp_path, row, message):
+        p = tmp_path / "cases.csv"
+        write_rows(p, [("2020-06-01", "a", 1), row])
+        with pytest.raises(ValueError, match=rf"{message}.*line 3 of {re.escape(str(p))}\)$"):
             ingest_cases(p, GRAPH2)
 
     def test_lone_nan_is_not_a_missing_cell(self, tmp_path):

@@ -1,4 +1,5 @@
 import importlib.resources
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestGraph:
         edges = tmp_path / "edges.csv"
         edges.write_text("region_a,region_b\na,b\n")
         with pytest.raises(ValueError, match="duplicate region ids: a$"):
+            load_region_graph(regions, edges)
+
+    def test_edge_from_a_region_to_itself_is_refused(self, tmp_path):
+        # Before the check the row loaded, and RegionGraph said only "adjacency diagonal must be zero".
+        regions = tmp_path / "regions.csv"
+        regions.write_text("region_id,name,lat,lon,population\na,A,35.0,-106.0,100\nb,B,35.5,-106.5,200\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("region_a,region_b\na,b\na,a\n")
+        message = rf"edge joins region 'a' to itself \(line 3 of {re.escape(str(edges))}\)$"
+        with pytest.raises(ValueError, match=message):
             load_region_graph(regions, edges)
 
     def test_subgraph_names_unknown_ids(self):

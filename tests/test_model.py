@@ -134,7 +134,7 @@ class TestQuadrature:
         grid = np.array([0.5, 2.0, 7.0])
         half = 0.5 * grid  # t0 = 0
         tau = half[:, None] * (quad.nodes + 1.0)
-        c = quad._node_terms[0]
+        c = quad._node_terms[0][0]
         assert np.allclose(tau, 2.0 * half[:, None] * c, rtol=1e-14)
         val = half * (tau**7 @ quad.weights)
         assert np.allclose(val, grid**8 / 8.0, rtol=1e-12)
@@ -391,6 +391,42 @@ def tau_convolve(p, inc, day_grid, quad, with_grad):
     return y, grad
 
 
+def broadcast_convolve(p, inc, day_grid, quad, with_grad):
+    """The separable kernel that the factor-matrix `_convolve` replaced, kept as its oracle.
+
+    It builds log f and the window argument by broadcasting the day terms
+    against the node terms, where `_convolve` takes two small matrix products.
+    """
+    day_grid = np.asarray(day_grid, dtype=float)
+    c = 0.5 * (quad.nodes + 1.0)
+    w = quad.weights
+    log_c = np.log(c)
+    active = day_grid > p.t0
+    d = np.where(active, day_grid - p.t0, 1.0)
+    k, theta = p.k, p.theta
+    log_d = np.log(d)
+    f = np.multiply.outer(d / -theta, c)
+    f += (k - 1.0) * log_c
+    f += ((k - 1.0) * log_d - k * np.log(theta) - gammaln(k))[:, None]
+    np.exp(f, out=f)
+    F, dwindow_dr = _incubation_window(np.multiply.outer(d * active, 1.0 - c), inc, with_grad)
+    F *= f
+    s = F @ w
+    half = 0.5 * d
+    y = np.maximum(p.N * half * s, 0.0)
+    if not with_grad:
+        return y
+
+    s_logc, s_c = (F @ np.column_stack([w * log_c, w * c])).T
+    f *= dwindow_dr
+    grad = np.empty((d.size, 4))
+    grad[:, 0] = p.N * (half * (s_c / theta - (k - 1.0) / d * s - f @ (w * (1.0 - c))) - 0.5 * s)
+    grad[:, 1] = half * s
+    grad[:, 2] = p.N * half * (s_logc + (log_d - np.log(theta) - digamma(k)) * s)
+    grad[:, 3] = p.N * half * (d / theta**2 * s_c - k / theta * s)
+    return y, grad
+
+
 class TestKernelMatchesReference:
     """The shared value/gradient kernel against the two kernels it replaced."""
 
@@ -442,6 +478,22 @@ class TestKernelMatchesReference:
             np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0.0)
             assert np.all(np.abs(g - g_ref) <= 1e-12 * (np.abs(g_ref) + np.abs(g_ref).max(axis=0))), p
 
+
+    def test_matches_the_broadcast_kernel(self):
+        # The products sum log f in BLAS order, so the two kernels agree to
+        # rounding, not bit for bit; the window argument is exact in both.
+        inc = IncubationParams()
+        inactive_days = 0
+        for grid, p in [*self._cases(), *self._long_cases()]:
+            inactive = grid <= p.t0
+            inactive_days += int(np.sum(inactive))
+            y_ref, g_ref = broadcast_convolve(p, inc, grid, QUAD, with_grad=True)
+            assert np.array_equal(broadcast_convolve(p, inc, grid, QUAD, with_grad=False), y_ref)
+            y, g = predict_daily_grad(p, inc, grid, QUAD)
+            np.testing.assert_allclose(y, y_ref, rtol=1e-13, atol=0.0)
+            assert np.all(np.abs(g - g_ref) <= 1e-13 * np.abs(g_ref).max(axis=0)), p
+            assert np.all(y[inactive] == 0.0) and np.all(g[inactive] == 0.0)
+        assert inactive_days > 0
 
 def _table_end(inc):
     """r_max: exp(mu + 8.5 sigma) + 1 rounded up to a whole 1/32-day cell."""
