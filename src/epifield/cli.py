@@ -394,8 +394,12 @@ def main(argv=None):
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (DivergenceError, StuckChainError, np.linalg.LinAlgError, FloatingPointError) as exc:
         diag = Path(args.out) / "diagnostics.txt"
+        text = traceback.format_exc()
+        if isinstance(exc, DivergenceError):
+            rows = zip(exc.trace.iterations[-10:], exc.trace.elbo[-10:], exc.trace.grad_norm[-10:])
+            text += "\nlast trace rows: iteration,elbo,grad_norm\n" + "".join(f"{i},{e},{g}\n" for i, e, g in rows)
         try:
-            diag.write_text(traceback.format_exc())
+            diag.write_text(text)
         except OSError:
             pass
         print(f"numerical failure: {exc} (diagnostics in {diag})", file=sys.stderr)

@@ -35,8 +35,8 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", tuple: "a 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The pipeline's settings; `incubation`, `quadrature`, `prior`, `optimizer` and `amcmc`
-    are built from them at load."""
+    """The pipeline's settings; `fit_start_date`, `fit_end_date`, `incubation`, `quadrature`, `prior`,
+    `optimizer` and `amcmc` are built from them at load."""
 
     # Inputs
     cases_csv: str = "cases.csv"
@@ -68,6 +68,12 @@ class RunConfig:
     regions: tuple = ()
 
     def __post_init__(self):
+        for key in ("fit_start", "fit_end"):
+            try:
+                object.__setattr__(self, f"{key}_date", dt.date.fromisoformat(getattr(self, key)))
+            except ValueError as exc:
+                raise ValueError(f"config key {key} must be a YYYY-MM-DD date, got {getattr(self, key)!r} "
+                                 f"({exc})") from None
         if self.fit_start_date >= self.fit_end_date:
             raise ValueError("fit_start must precede fit_end")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
@@ -91,14 +97,6 @@ class RunConfig:
     def reference(self) -> dt.date:
         """The date of day 0: the fit start."""
         return self.fit_start_date
-
-    @property
-    def fit_start_date(self) -> dt.date:
-        return dt.date.fromisoformat(self.fit_start)
-
-    @property
-    def fit_end_date(self) -> dt.date:
-        return dt.date.fromisoformat(self.fit_end)
 
     def to_json(self, fields=None):
         """The config as JSON; `fields` keeps only those keys."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RegionGraph
+from .graph import RegionGraph, _csv_rows, _number
 from .likelihood import correlated_noise
 from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule
 from .params import ParamVector
@@ -67,24 +67,17 @@ def ingest_cases(path, graph: RegionGraph):
     counts are errors.  Counts must be daily new cases, not cumulative.
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"line {reader.line_num} of {path}"
-            try:
-                date = dt.date.fromisoformat(row["date"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad date {row['date']!r} ({exc}; {where})") from None
-            try:
-                count = float(row["count"])
-            except (TypeError, ValueError):
-                raise ValueError(f"count {row['count']!r} for {row['region_id']} on {date} is not a number "
-                                 f"({where})") from None
-            if not math.isfinite(count):
-                raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} ({where})")
-            if count < 0:
-                raise ValueError(f"negative count for {row['region_id']} on {date} ({where})")
-            rows.append((date, row["region_id"], count))
+    for row, where in _csv_rows(path, ("date", "region_id", "count")):
+        try:
+            date = dt.date.fromisoformat(row["date"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad date {row['date']!r} ({exc}; {where})") from None
+        count = _number(row, "count", where, f"for {row['region_id']} on {date}")
+        if not math.isfinite(count):
+            raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} ({where})")
+        if count < 0:
+            raise ValueError(f"negative count for {row['region_id']} on {date} ({where})")
+        rows.append((date, row["region_id"], count))
     unknown = sorted({rid for _, rid, _ in rows} - set(graph.region_ids))
     if unknown:
         raise ValueError(f"unknown region ids in {path}: {', '.join(unknown)}")

@@ -72,6 +72,25 @@ def path_graph(region_ids):
     return RegionGraph(region_ids=tuple(region_ids), W=W)
 
 
+def _csv_rows(path, columns):
+    """(row, "line N of path") for each row of the CSV at path, whose header must name every one of columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no {', '.join(missing)} column (it needs {', '.join(columns)})")
+        for row in reader:
+            yield row, f"line {reader.line_num} of {path}"
+
+
+def _number(row, name, where, whose):
+    """The float in row[name]; else a ValueError naming the column, the value, whose it is and where."""
+    try:
+        return float(row[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} {row[name]!r} {whose} is not a number ({where})") from None
+
+
 def load_region_graph(regions_csv, edges_csv):
     """Build a RegionGraph from regions.csv and edges.csv.
 
@@ -79,23 +98,20 @@ def load_region_graph(regions_csv, edges_csv):
     edges.csv columns: region_a, region_b (one undirected edge per row).
     """
     ids, cents, pops = [], [], []
-    with open(regions_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(row["region_id"])
-            cents.append((float(row["lat"]), float(row["lon"])))
-            pops.append(float(row["population"]))
+    for row, where in _csv_rows(regions_csv, ("region_id", "lat", "lon", "population")):
+        whose = f"of region {row['region_id']!r}"
+        ids.append(row["region_id"])
+        cents.append((_number(row, "lat", where, whose), _number(row, "lon", where, whose)))
+        pops.append(_number(row, "population", where, whose))
     index = {rid: i for i, rid in enumerate(ids)}
     W = np.zeros((len(ids), len(ids)))
-    with open(edges_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            a, b = row["region_a"], row["region_b"]
-            where = f"line {reader.line_num} of {edges_csv}"
-            if a not in index or b not in index:
-                raise ValueError(f"edge references unknown region: {a!r}-{b!r} ({where})")
-            if a == b:
-                raise ValueError(f"edge joins region {a!r} to itself ({where})")
-            W[index[a], index[b]] = W[index[b], index[a]] = 1.0
+    for row, where in _csv_rows(edges_csv, ("region_a", "region_b")):
+        a, b = row["region_a"], row["region_b"]
+        if a not in index or b not in index:
+            raise ValueError(f"edge references unknown region: {a!r}-{b!r} ({where})")
+        if a == b:
+            raise ValueError(f"edge joins region {a!r} to itself ({where})")
+        W[index[a], index[b]] = W[index[b], index[a]] = 1.0
     return RegionGraph(
         region_ids=tuple(ids),
         W=W,

@@ -6,7 +6,7 @@ The per-day noise covariance is
     P = D - lambda * W,
 
 where W is the region adjacency and D the degree matrix.  One evaluation
-factors P once (all days share P^{-1}) and takes one batched Cholesky
+inverts P once (all days share P^{-1}) and takes one batched Cholesky
 factorization L_i of the Sigma_i.  Each L_i is then inverted as a triangle
 (LAPACK dtrtri), and the value and the gradient both come from L_i^{-1}:
 the log-determinant from diag L_i, the quadratic form from z_i = L_i^{-1} r_i.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .graph import RegionGraph
@@ -67,10 +66,10 @@ def build_precision(graph: RegionGraph, lambda_phi):
 def _batched_covariances(graph, eta, y_pred):
     """(P^{-1}, Cholesky factors of Sigma_i, noise scales) for y_pred of shape (N_d, R).
 
-    P^{-1} is not scaled by tau.  A covariance that is not positive
-    definite raises np.linalg.LinAlgError.
+    P^{-1} is not scaled by tau; P is diagonally dominant, so positive definite, for lambda <= 1 - EPS_LAMBDA.
+    A singular P or a covariance that is not positive definite raises np.linalg.LinAlgError.
     """
-    Pinv = cho_solve(cho_factor(build_precision(graph, eta.lambda_phi), lower=True), np.eye(graph.n_regions))
+    Pinv = np.linalg.inv(build_precision(graph, eta.lambda_phi))
     scale = eta.sigma_a + eta.sigma_m * y_pred  # (N_d, R)
     Sigma = np.broadcast_to(eta.tau_phi * Pinv, (y_pred.shape[0],) + Pinv.shape).copy()
     idx = np.arange(graph.n_regions)

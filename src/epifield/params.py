@@ -3,7 +3,7 @@
 The layout is [t0, N, k, theta] per region, then the noise parameters
 (tau, lambda, sigma_a, sigma_m).  Each constrained slot is theta_i = f_i(x_i)
 with f_i strictly increasing and differentiable, so the optimizer works on
-all of R^d.  The slot groups are:
+all of R^d; `TransformSpec.jacobian` gives f_i' and log f_i' in one walk over the slot groups:
 
 - exp: N of every region, tau, sigma_a and sigma_m;
 - shifted softplus: k above `K_MIN` and theta above `EPS_THETA`;
@@ -84,8 +84,7 @@ def softplus(x):
 def softplus_inv(y):
     y = np.asarray(y, dtype=float)
     small = y < _BIG
-    out = np.where(small, np.log(np.expm1(np.where(small, y, 1.0))), y)
-    return out
+    return np.where(small, np.log(np.expm1(np.where(small, y, 1.0))), y)
 
 
 @dataclass(frozen=True)
@@ -143,34 +142,24 @@ class TransformSpec:
         out[self._logistic] = logit(frac)
         return out
 
-    def fprime(self, xhat):
-        """Per-slot derivative f_i'(x_i); strictly positive everywhere."""
+    def jacobian(self, xhat):
+        """(f_i'(x_i) per slot, strictly positive; sum_i log f_i'(x_i); d/dx_i log f_i'(x_i) per slot)."""
         xhat = np.asarray(xhat, dtype=float)
-        out = np.ones_like(xhat)
-        out[self._exp] = np.exp(xhat[self._exp])
-        out[self._softplus] = expit(xhat[self._softplus])
-        s = expit(xhat[self._logistic])
-        out[self._logistic] = _LAMBDA_MAX * s * (1.0 - s)
-        return out
-
-    def log_jacobian(self, xhat):
-        """sum_i log f_i'(x_i)."""
-        xhat = np.asarray(xhat, dtype=float)
-        logs = np.zeros_like(xhat)
-        logs[self._exp] = xhat[self._exp]
-        logs[self._softplus] = -softplus(-xhat[self._softplus])
+        fprime, logs, grad = np.ones_like(xhat), np.zeros_like(xhat), np.zeros_like(xhat)
+        x = xhat[self._exp]
+        fprime[self._exp] = np.exp(x)
+        logs[self._exp] = x
+        grad[self._exp] = 1.0
+        x = xhat[self._softplus]
+        fprime[self._softplus] = expit(x)
+        logs[self._softplus] = -softplus(-x)
+        grad[self._softplus] = expit(-x)
         x = xhat[self._logistic]
+        s = expit(x)
+        fprime[self._logistic] = _LAMBDA_MAX * s * (1.0 - s)
         logs[self._logistic] = np.log(_LAMBDA_MAX) - softplus(-x) - softplus(x)
-        return float(np.sum(logs))
-
-    def log_jacobian_grad(self, xhat):
-        """d/dx_i of log f_i'(x_i), per slot."""
-        xhat = np.asarray(xhat, dtype=float)
-        out = np.zeros_like(xhat)
-        out[self._exp] = 1.0
-        out[self._softplus] = expit(-xhat[self._softplus])
-        out[self._logistic] = 1.0 - 2.0 * expit(xhat[self._logistic])
-        return out
+        grad[self._logistic] = 1.0 - 2.0 * s
+        return fprime, float(np.sum(logs)), grad
 
 
 def log_prior(theta, prior: PriorSpec, n_regions):
@@ -179,9 +168,9 @@ def log_prior(theta, prior: PriorSpec, n_regions):
     Returns (value, gradient w.r.t. the constrained vector).
     """
     theta = np.asarray(theta, dtype=float)
-    idx = slots(n_regions, "t0")
-    z = (theta[idx] - prior.t0_mean) / prior.t0_sd
-    value = float(-0.5 * np.sum(z**2) - idx.size * (0.5 * np.log(2.0 * np.pi) + np.log(prior.t0_sd)))
+    t0 = slice(0, _STRIDE * n_regions, _STRIDE)  # t0 leads each region's slots
+    z = (theta[t0] - prior.t0_mean) / prior.t0_sd
+    value = float(-0.5 * np.sum(z**2) - n_regions * (0.5 * np.log(2.0 * np.pi) + np.log(prior.t0_sd)))
     grad = np.zeros_like(theta)
-    grad[idx] = -z / prior.t0_sd
+    grad[t0] = -z / prior.t0_sd
     return value, grad

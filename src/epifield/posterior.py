@@ -10,9 +10,8 @@ target the density of the push-forward surrogate, which variational
 inference fits; `include_jacobian=False` drops it for the MAP in
 constrained space that `vi.mle_fit` computes.
 
-`_log_posterior` is the one assembly behind `ModelContext.logpost` and
-`.logpost_and_grad`, and `predict_regions` the one loop of the forward model
-over regions.
+`_log_posterior` is the one assembly behind `ModelContext.logpost` and `.logpost_and_grad`, with one
+`TransformSpec.jacobian` call each; `predict_regions` is the one loop of the forward model over regions.
 """
 
 from __future__ import annotations
@@ -108,11 +107,12 @@ def _log_posterior(ctx: ModelContext, xhat, include_jacobian, with_grad):
         value = log_likelihood(ctx.y_obs, ctx.predictions(theta), ctx.graph, theta.noise)
     prior_value, prior_grad = log_prior(theta.values, ctx.prior, ctx.n_regions)
     value += prior_value
+    fprime, log_jacobian, log_jacobian_grad = tf.jacobian(xhat)
     if include_jacobian:
-        value += tf.log_jacobian(xhat)
+        value += log_jacobian
     if not with_grad:
         return value
-    grad = (np.concatenate([grad_model.ravel(), grad_eta]) + prior_grad) * tf.fprime(xhat)
+    grad = (np.concatenate([grad_model.ravel(), grad_eta]) + prior_grad) * fprime
     if include_jacobian:
-        grad += tf.log_jacobian_grad(xhat)
+        grad += log_jacobian_grad
     return value, grad

@@ -16,6 +16,7 @@ from epifield.cli import main
 from epifield.config import ENSEMBLE_FIELDS, FIT_FIELDS
 from epifield.model import K_MIN
 from epifield.params import param_names
+from epifield.vi import DivergenceError, ElboTrace
 
 
 class TestRunConfig:
@@ -31,6 +32,12 @@ class TestRunConfig:
     def test_fit_window_order_enforced(self):
         with pytest.raises(ValueError, match="precede"):
             RunConfig(fit_start="2020-09-15", fit_end="2020-06-01")
+
+    @pytest.mark.parametrize("key, bad", [("fit_start", "2020-13-01"), ("fit_end", "2020-09-31"),
+                                          ("fit_start", "June 1")])
+    def test_bad_date_names_its_key_and_value(self, key, bad):
+        with pytest.raises(ValueError, match=rf"^config key {key} must be a YYYY-MM-DD date, got '{bad}' \("):
+            RunConfig.from_json(json.dumps({key: bad}))
 
     def test_overrides(self):
         cfg = RunConfig().with_overrides(seed=99)
@@ -212,6 +219,31 @@ class TestCliErrors:
         assert "numerical failure" in capsys.readouterr().err
         assert "LinAlgError" in (tmp_path / "diagnostics.txt").read_text()
 
+    def test_divergence_writes_the_last_trace_rows(self, pipeline, tmp_path, monkeypatch, capsys):
+        trace = ElboTrace()
+        for it in range(15):
+            trace.append(it, -100.0 + it if it < 12 else np.nan, 0.5 * it, 0.01 * it, 10)
+
+        def diverging(*args, **kwargs):
+            raise DivergenceError("ELBO non-finite for 3 consecutive iterations", trace)
+
+        monkeypatch.setattr("epifield.cli.fit_mfvi", diverging)
+        _, cfg_path, _ = pipeline
+        assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure: ELBO non-finite" in capsys.readouterr().err
+        text = (tmp_path / "diagnostics.txt").read_text()
+        assert "DivergenceError" in text
+        rows = [f"{it},{-100.0 + it if it < 12 else np.nan},{0.5 * it}" for it in range(5, 15)]
+        assert text.endswith("last trace rows: iteration,elbo,grad_norm\n" + "\n".join(rows) + "\n")
+        assert "\n4,-96.0," not in text
+
+    def test_bad_date_is_data_error_naming_its_key(self, pipeline, tmp_path, capsys):
+        _, cfg_path, _ = pipeline
+        edited = _edited_config(cfg_path, tmp_path, fit_start="2020-13-01")
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config key fit_start must be a YYYY-MM-DD date, got '2020-13-01' (month must be in 1..12)" in err
+
     def test_singular_covariance_factor_is_numerical_error(self, pipeline, tmp_path, monkeypatch, capsys):
         real = epifield.likelihood._batched_covariances
 
@@ -246,6 +278,25 @@ class TestCliErrors:
         edited = _edited_config(cfg_path, tmp_path, cases_csv=str(cases))
         assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
         assert f"line 6 of {cases})" in capsys.readouterr().err
+
+    def test_input_file_errors_name_the_file_and_the_line_or_column(self, pipeline, tmp_path, capsys):
+        _, cfg_path, out = pipeline
+        lines = Path(json.loads(cfg_path.read_text())["regions_csv"]).read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index("lat")] = ""
+        regions = tmp_path / "regions.csv"
+        regions.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]]) + "\n")
+        edited = _edited_config(cfg_path, tmp_path, regions_csv=str(regions))
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert f"lat '' of region {row[header.index('region_id')]!r} is not a number (line 3 of {regions})" in \
+            capsys.readouterr().err
+        cases = tmp_path / "cases.csv"
+        cases.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in (Path(out) / "cases.csv").read_text().splitlines()))
+        edited = _edited_config(cfg_path, tmp_path, cases_csv=str(cases))
+        assert main(["fit", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        assert f"data error: {cases} has no count column" in capsys.readouterr().err
 
     def test_edge_from_a_region_to_itself_names_the_file(self, pipeline, tmp_path, capsys):
         _, cfg_path, _ = pipeline

@@ -11,6 +11,7 @@ from epifield import (
     ParamVector,
     RegionParams,
     ingest_cases,
+    load_region_graph,
     path_graph,
     smooth,
     synthetic_counts,
@@ -98,6 +99,14 @@ class TestIngest:
         with pytest.raises(ValueError, match=rf"{message}.*line 3 of {re.escape(str(p))}\)$"):
             ingest_cases(p, GRAPH2)
 
+    @pytest.mark.parametrize("header, missing", [("date,count", "region_id"), ("date,region,count", "region_id"),
+                                                 ("region_id,date", "count"), ("", "date, region_id, count")])
+    def test_missing_column_is_named_with_the_file(self, tmp_path, header, missing):
+        p = tmp_path / "cases.csv"
+        p.write_text(f"{header}\n" + ("2020-06-01,a\n" if header else ""))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))} has no {missing} column"):
+            ingest_cases(p, GRAPH2)
+
     def test_lone_nan_is_not_a_missing_cell(self, tmp_path):
         p = tmp_path / "cases.csv"
         write_rows(p, [("2020-06-01", "a", 1), ("2020-06-01", "b", "nan")])
@@ -112,6 +121,45 @@ class TestIngest:
         back = ingest_cases(p, GRAPH2)
         assert np.allclose(back.counts, data.counts)
         assert back.dates == data.dates
+
+
+def _region_files(tmp_path, regions, edges="region_a,region_b\na,b\n"):
+    """regions.csv and edges.csv in tmp_path with the given text."""
+    paths = tmp_path / "regions.csv", tmp_path / "edges.csv"
+    for path, text in zip(paths, (regions, edges)):
+        path.write_text(text)
+    return paths
+
+
+class TestRegionFiles:
+    def test_reads_the_metadata(self, tmp_path):
+        regions, edges = _region_files(tmp_path, "region_id,name,lat,lon,population\na,A,1.5,2,10\nb,B,3,4,20\n")
+        g = load_region_graph(regions, edges)
+        assert g.region_ids == ("a", "b") and np.array_equal(g.W, [[0, 1], [1, 0]])
+        assert np.array_equal(g.centroids, [[1.5, 2.0], [3.0, 4.0]])
+        assert np.array_equal(g.populations, [10.0, 20.0])
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,,4,20", "lat '' of region 'b' is not a number"),
+        ("b,3,west,20", "lon 'west' of region 'b' is not a number"),
+        ("b,3,4,", "population '' of region 'b' is not a number"),
+        ("b,3", "lon None of region 'b' is not a number"),
+    ])
+    def test_bad_value_names_the_file_and_line(self, tmp_path, row, message):
+        regions, edges = _region_files(tmp_path, f"region_id,lat,lon,population\na,1,2,10\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{message} \(line 3 of {re.escape(str(regions))}\)$"):
+            load_region_graph(regions, edges)
+
+    def test_missing_regions_column_is_named_with_the_file(self, tmp_path):
+        regions, edges = _region_files(tmp_path, "region_id,lat,lon\na,1,2\nb,3,4\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(regions))} has no population column"):
+            load_region_graph(regions, edges)
+
+    def test_missing_edges_column_is_named_with_the_file(self, tmp_path):
+        regions, edges = _region_files(tmp_path, "region_id,lat,lon,population\na,1,2,10\nb,3,4,20\n",
+                                       edges="region_a,other\na,b\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(edges))} has no region_b column"):
+            load_region_graph(regions, edges)
 
 
 class TestCaseData:

@@ -48,7 +48,7 @@ def reference_log_posterior(ctx, xhat, include_jacobian):
     value = log_likelihood(ctx.y_obs, y, ctx.graph, theta.noise)
     value += log_prior(theta.values, ctx.prior, ctx.n_regions)[0]
     if include_jacobian:
-        value += tf.log_jacobian(xhat)
+        value += tf.jacobian(xhat)[1]
     return value
 
 
@@ -63,10 +63,11 @@ def reference_log_posterior_and_grad(ctx, xhat, include_jacobian):
     pv, pg = log_prior(theta.values, ctx.prior, ctx.n_regions)
     value += pv
     grad_constrained += pg
-    grad = grad_constrained * tf.fprime(xhat)
+    fprime, log_jacobian, log_jacobian_grad = tf.jacobian(xhat)
+    grad = grad_constrained * fprime
     if include_jacobian:
-        value += tf.log_jacobian(xhat)
-        grad += tf.log_jacobian_grad(xhat)
+        value += log_jacobian
+        grad += log_jacobian_grad
     return value, grad
 
 

@@ -156,27 +156,31 @@ class TestTransformSpec:
 
     def test_fprime_positive(self):
         x = np.random.default_rng(0).uniform(-8, 8, dim_for(2))
-        assert np.all(TF2.fprime(x) > 0)
+        assert np.all(TF2.jacobian(x)[0] > 0)
 
     def test_fprime_matches_finite_differences(self):
         x = np.random.default_rng(1).uniform(-3, 3, dim_for(2))
         h = 1e-6
         fd = (TF2.forward(x + h) - TF2.forward(x - h)) / (2 * h)
-        assert np.allclose(TF2.fprime(x), fd, rtol=1e-8)
+        assert np.allclose(TF2.jacobian(x)[0], fd, rtol=1e-8)
 
 
 @pytest.mark.parametrize("n_regions", [1, 3, 33])
 def test_matches_the_table_oracle(n_regions):
-    """Every map equals the table-driven reference bit for bit (NaN equal to NaN), out to |x| = 800."""
+    """Every map, and each of jacobian's three outputs, equals the table-driven reference bit for bit
+    (NaN equal to NaN), out to |x| = 800."""
     tf, ref = TransformSpec(n_regions), _TableTransformSpec(n_regions)
     rng = np.random.default_rng(n_regions)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for scale in (1.0, 10.0, 50.0, 800.0):
             for _ in range(150):
                 x = rng.uniform(-scale, scale, dim_for(n_regions))
-                for name in ("forward", "fprime", "log_jacobian_grad"):
-                    assert np.array_equal(getattr(tf, name)(x), getattr(ref, name)(x), equal_nan=True), name
-                assert np.array_equal(tf.log_jacobian(x), ref.log_jacobian(x), equal_nan=True)
+                assert np.array_equal(tf.forward(x), ref.forward(x), equal_nan=True)
+                fprime, log_jacobian, log_jacobian_grad = tf.jacobian(x)
+                assert np.array_equal(fprime, ref.fprime(x), equal_nan=True)
+                assert np.array_equal(log_jacobian, ref.log_jacobian(x), equal_nan=True)
+                assert type(log_jacobian) is float
+                assert np.array_equal(log_jacobian_grad, ref.log_jacobian_grad(x), equal_nan=True)
                 theta = ref.forward(x)
                 try:
                     expected = ref.inverse(theta)
@@ -213,35 +217,34 @@ def test_names_and_transforms_agree_on_the_layout(n_regions):
 class TestLogJacobian:
     def test_identity_slot(self):
         tf = TransformSpec(1)
-        x = np.zeros(8)
-        fp = tf.fprime(x)
-        assert fp[0] == 1.0  # t0 slot
+        fp, _, g = tf.jacobian(np.zeros(8))
+        assert fp[0] == 1.0 and g[0] == 0.0  # t0 slot
 
     def test_exp_slot_at_zero(self):
         tf = TransformSpec(1)
-        fp = tf.fprime(np.zeros(8))
+        fp = tf.jacobian(np.zeros(8))[0]
         assert fp[1] == pytest.approx(1.0)  # exp'(0) = 1, log-contribution 0
 
     def test_softplus_slot_at_zero(self):
         tf = TransformSpec(1)
-        fp = tf.fprime(np.zeros(8))
+        fp = tf.jacobian(np.zeros(8))[0]
         assert fp[2] == pytest.approx(0.5)  # logistic(0)
 
     def test_total_is_sum_of_log_derivatives(self):
         x = np.random.default_rng(2).uniform(-4, 4, dim_for(2))
-        total, fp = TF2.log_jacobian(x), TF2.fprime(x)
+        fp, total, _ = TF2.jacobian(x)
         assert total == pytest.approx(float(np.sum(np.log(fp))), rel=1e-10)
 
     def test_grad_matches_finite_differences(self):
         x = np.random.default_rng(3).uniform(-3, 3, dim_for(2))
-        g = TF2.log_jacobian_grad(x)
+        g = TF2.jacobian(x)[2]
         h = 1e-6
         fd = np.empty_like(x)
         for i in range(x.size):
             hi, lo = x.copy(), x.copy()
             hi[i] += h
             lo[i] -= h
-            fd[i] = (TF2.log_jacobian(hi) - TF2.log_jacobian(lo)) / (2 * h)
+            fd[i] = (TF2.jacobian(hi)[1] - TF2.jacobian(lo)[1]) / (2 * h)
         assert np.allclose(g, fd, atol=1e-8)
 
 
