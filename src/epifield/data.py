@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RegionGraph, _csv_rows, _number
+from .graph import RegionGraph, _csv_rows, _not_a_number
 from .likelihood import correlated_noise
 from .model import DEFAULT_QUAD_NODES, IncubationParams, QuadratureRule
 from .params import ParamVector
@@ -66,35 +66,48 @@ def ingest_cases(path, graph: RegionGraph):
     how many); duplicates, unknown regions and negative or non-finite
     counts are errors.  Counts must be daily new cases, not cumulative.
     """
-    rows = []
-    for row, where in _csv_rows(path, ("date", "region_id", "count")):
+    region_index = {rid: r for r, rid in enumerate(graph.region_ids)}
+    codes, parsed = {}, []  # each distinct date text's code, and its date by code
+    row_dates, row_regions, row_counts = [], [], []
+    unknown = set()
+    for line, (date_text, rid, count_text) in _csv_rows(path, ("date", "region_id", "count")):
+        code = codes.get(date_text)
+        if code is None:
+            try:
+                parsed.append(dt.date.fromisoformat(date_text))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad date {date_text!r} ({exc}; line {line} of {path})") from None
+            code = codes[date_text] = len(parsed) - 1
         try:
-            date = dt.date.fromisoformat(row["date"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad date {row['date']!r} ({exc}; {where})") from None
-        count = _number(row, "count", where, f"for {row['region_id']} on {date}")
-        if not math.isfinite(count):
-            raise ValueError(f"non-finite count {row['count']!r} for {row['region_id']} on {date} ({where})")
-        if count < 0:
-            raise ValueError(f"negative count for {row['region_id']} on {date} ({where})")
-        rows.append((date, row["region_id"], count))
-    unknown = sorted({rid for _, rid, _ in rows} - set(graph.region_ids))
+            count = float(count_text)
+        except (TypeError, ValueError):
+            raise _not_a_number("count", count_text, f"for {rid} on {parsed[code]}", line, path) from None
+        if not 0.0 <= count < math.inf:
+            problem = "negative count" if math.isfinite(count) else f"non-finite count {count_text!r}"
+            raise ValueError(f"{problem} for {rid} on {parsed[code]} (line {line} of {path})")
+        r = region_index.get(rid)
+        if r is None:
+            unknown.add(rid)
+        row_dates.append(code)
+        row_regions.append(r)
+        row_counts.append(count)
     if unknown:
-        raise ValueError(f"unknown region ids in {path}: {', '.join(unknown)}")
-    if not rows:
+        raise ValueError(f"unknown region ids in {path}: {', '.join(sorted(unknown))}")
+    if not row_counts:
         raise ValueError(f"no case rows in {path}")
 
-    first = min(date for date, _, _ in rows)
-    last = max(date for date, _, _ in rows)
-    dates = tuple(first + dt.timedelta(days=i) for i in range((last - first).days + 1))
-    date_index = {d: i for i, d in enumerate(dates)}
-    region_index = {rid: r for r, rid in enumerate(graph.region_ids)}
+    first = min(parsed)
+    dates = tuple(first + dt.timedelta(days=i) for i in range((max(parsed) - first).days + 1))
+    days = np.array([(date - first).days for date in parsed])[row_dates]
+    cells = days * graph.n_regions + np.array(row_regions)  # the flat (day, region) index of each row
+    first_rows = np.unique(cells, return_index=True)[1]
+    if first_rows.size < cells.size:
+        repeated = np.ones(cells.size, dtype=bool)
+        repeated[first_rows] = False
+        i = int(np.argmax(repeated))  # the first row whose cell an earlier row filled
+        raise ValueError(f"duplicate row for ({dates[days[i]]}, {graph.region_ids[row_regions[i]]})")
     counts = np.full((len(dates), graph.n_regions), np.nan)
-    for date, rid, count in rows:
-        i, r = date_index[date], region_index[rid]
-        if not np.isnan(counts[i, r]):
-            raise ValueError(f"duplicate row for ({date}, {rid})")
-        counts[i, r] = count
+    counts.reshape(-1)[cells] = row_counts
     n_missing = int(np.isnan(counts).sum())
     if n_missing:
         warnings.warn(f"{n_missing} missing (date, region) cell(s) filled with 0", stacklevel=2)

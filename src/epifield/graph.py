@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,22 +74,36 @@ def path_graph(region_ids):
 
 
 def _csv_rows(path, columns):
-    """(row, "line N of path") for each row of the CSV at path, whose header must name every one of columns."""
+    """(line number, cells) for each nonblank row of the CSV at path, whose header must name every one of columns.
+
+    cells holds the row's values of columns, in order; a short row reads None past its end.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in columns if name not in header]
         if missing:
             raise ValueError(f"{path} has no {', '.join(missing)} column (it needs {', '.join(columns)})")
+        position = {name: i for i, name in enumerate(header)}  # the last of a repeated name, as csv.DictReader
+        pick = itemgetter(*(position[name] for name in columns))
+        width = max(position[name] for name in columns) + 1
         for row in reader:
-            yield row, f"line {reader.line_num} of {path}"
+            if row:
+                if len(row) < width:
+                    row += [None] * (width - len(row))
+                yield reader.line_num, pick(row)
 
 
-def _number(row, name, where, whose):
-    """The float in row[name]; else a ValueError naming the column, the value, whose it is and where."""
+def _not_a_number(name, text, whose, line, path):
+    return ValueError(f"{name} {text!r} {whose} is not a number (line {line} of {path})")
+
+
+def _number(text, name, whose, line, path):
+    """float(text); else the ValueError of `_not_a_number`."""
     try:
-        return float(row[name])
+        return float(text)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} {row[name]!r} {whose} is not a number ({where})") from None
+        raise _not_a_number(name, text, whose, line, path) from None
 
 
 def load_region_graph(regions_csv, edges_csv):
@@ -98,19 +113,18 @@ def load_region_graph(regions_csv, edges_csv):
     edges.csv columns: region_a, region_b (one undirected edge per row).
     """
     ids, cents, pops = [], [], []
-    for row, where in _csv_rows(regions_csv, ("region_id", "lat", "lon", "population")):
-        whose = f"of region {row['region_id']!r}"
-        ids.append(row["region_id"])
-        cents.append((_number(row, "lat", where, whose), _number(row, "lon", where, whose)))
-        pops.append(_number(row, "population", where, whose))
+    for line, (rid, lat, lon, pop) in _csv_rows(regions_csv, ("region_id", "lat", "lon", "population")):
+        whose = f"of region {rid!r}"
+        ids.append(rid)
+        cents.append((_number(lat, "lat", whose, line, regions_csv), _number(lon, "lon", whose, line, regions_csv)))
+        pops.append(_number(pop, "population", whose, line, regions_csv))
     index = {rid: i for i, rid in enumerate(ids)}
     W = np.zeros((len(ids), len(ids)))
-    for row, where in _csv_rows(edges_csv, ("region_a", "region_b")):
-        a, b = row["region_a"], row["region_b"]
+    for line, (a, b) in _csv_rows(edges_csv, ("region_a", "region_b")):
         if a not in index or b not in index:
-            raise ValueError(f"edge references unknown region: {a!r}-{b!r} ({where})")
+            raise ValueError(f"edge references unknown region: {a!r}-{b!r} (line {line} of {edges_csv})")
         if a == b:
-            raise ValueError(f"edge joins region {a!r} to itself ({where})")
+            raise ValueError(f"edge joins region {a!r} to itself (line {line} of {edges_csv})")
         W[index[a], index[b]] = W[index[b], index[a]] = 1.0
     return RegionGraph(
         region_ids=tuple(ids),

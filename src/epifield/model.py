@@ -1,4 +1,4 @@
-"""Single-region forward epidemic model.
+"""Forward epidemic model of every region.
 
 A Gamma-shaped infection-rate pulse convolved against a lognormal
 incubation CDF gives the expected number of people turning symptomatic
@@ -12,6 +12,12 @@ per-day factor and a constant per-node factor: the log of the Gamma rate is
 (N_d x 2) @ (2 x n) with node rows [1 - c; 0].  One exp per node gives the
 rate, and the parameter partials reduce to mat-vecs of the same node products
 against node-weight vectors (see `_convolve`).
+
+`_convolve` takes all regions at once, as an (R, 4) block of rows
+(t0, N, k, theta): the per-day algebra, the bounds check and the partials'
+assembly run once on (R, N_d) arrays, and only the node work loops over
+regions.  `predict_daily[_grad]` pass it one row, and
+`posterior.predict_regions` every region's.
 
 The incubation window G(r) = F_inc(r) - F_inc(r - 1) depends only on the
 incubation parameters, so it is tabulated once per `IncubationParams` (from
@@ -226,16 +232,19 @@ def _window_lookup(x, coef, with_grad):
     return g, a3
 
 
-def _convolve(p: RegionParams, table, day_grid, quad: QuadratureRule, with_grad):
-    """The daily convolution y, and with_grad its partials: y or (y, grad).
+def _convolve(regions, table, day_grid, quad: QuadratureRule, with_grad):
+    """Every region's daily convolution y (N_d, R), and with_grad its partials: y or (y, grad (N_d, R, 4)).
 
-    table is the incubation window's `_window_table`, and day_grid a float
-    array that `_checked_day_grid` has passed.  Day i's rule on [t0, t_i] has
-    nodes t0 + c_j d_i and weights d_i w_j / 2, with d_i = t_i - t0 and
-    c_j = (x_j + 1)/2; inactive days (t_i <= t0) get d_i = 1.  The kernel is
-    separable in day and node: node j of day i sits at offset u_ij = c_j d_i
-    after onset and window argument r_ij = d_i (1 - c_j).  The log of the
-    rate is
+    regions is an (R, 4) array of rows (t0, N, k, theta), table the
+    incubation window's `_window_table`, and day_grid a float array that
+    `_checked_day_grid` has passed.  A row that `RegionParams` would refuse
+    raises its ValueError (the first such row's).
+
+    Day i's rule on [t0, t_i] has nodes t0 + c_j d_i and weights d_i w_j / 2,
+    with d_i = t_i - t0 and c_j = (x_j + 1)/2; inactive days (t_i <= t0) get
+    d_i = 1.  The kernel is separable in day and node: node j of day i sits at
+    offset u_ij = c_j d_i after onset and window argument r_ij = d_i (1 - c_j).
+    The log of the rate is
 
         log f_ij = (d_i / -theta) c_j + (k - 1) log c_j + alpha_i,
         alpha_i = -k log theta - lgamma(k) + (k - 1) log d_i,
@@ -254,6 +263,11 @@ def _convolve(p: RegionParams, table, day_grid, quad: QuadratureRule, with_grad)
     or c_j.  alpha stays inside the exp because exp(alpha) alone overflows at
     large k log d where f does not.
 
+    The per-day algebra runs once on (R, N_d) arrays and only the (N_d, n)
+    node work loops over regions, so that each region's working set stays in
+    cache.  Each element takes the operations of a one-region call in the
+    same order, so a region's columns do not depend on the other rows.
+
     The window G and dG/dr come from the tabulated cubic (`_window_lookup`),
     so the partials are exact derivatives of the interpolated model.
 
@@ -262,36 +276,54 @@ def _convolve(p: RegionParams, table, day_grid, quad: QuadratureRule, with_grad)
     1-40 with t0 in [-15, -2], but reaches 9.3e-6 on days 1-107 with t0 in
     [-60, -2].
     """
+    # y and the partials before the temporaries: allocated last, they let glibc trim the heap's
+    # top after every call, and the next call faulted its pages in again.
+    n_regions, n_days = len(regions), day_grid.size
+    y = np.empty((n_days, n_regions))
+    grad = np.empty((n_days, n_regions, 4)) if with_grad else None
+    for row in regions.tolist():
+        if not row[1] > 0 or row[2] < K_MIN or row[3] < EPS_THETA:
+            RegionParams(*row)
+    t0, N, k, theta = regions.T[:, :, None]  # (R, 1) columns
     rate_rows, window_rows, w_logc_c, w_one_minus_c = quad._node_terms
-    active = day_grid > p.t0
-    d = np.where(active, day_grid - p.t0, 1.0)
-    k, theta, w = p.k, p.theta, quad.weights
+    active = day_grid > t0
+    d = np.where(active, day_grid - t0, 1.0)
     log_d = np.log(d)
-    day_rows = np.empty((d.size, 3))
-    day_rows[:, 0] = d / -theta
-    day_rows[:, 1] = k - 1.0
-    day_rows[:, 2] = (k - 1.0) * log_d - k * np.log(theta) - gammaln(k)
-    f = day_rows @ rate_rows
-    np.exp(f, out=f)
-    cells = np.zeros((d.size, 2))
-    cells[:, 0] = _WINDOW_CELLS_PER_DAY * d * active
-    F, dwindow_dr = _window_lookup(cells @ window_rows, table, with_grad)
-    F *= f
-    s = F @ w
+    k_minus_1 = k - 1.0
+    day_rows = np.empty((n_regions, n_days, 3))
+    day_rows[..., 0] = d / -theta
+    day_rows[..., 1] = k_minus_1
+    log_theta = np.log(theta)
+    day_rows[..., 2] = k_minus_1 * log_d - k * log_theta - gammaln(k)
+    cells = np.zeros((n_regions, n_days, 2))
+    cells[..., 0] = _WINDOW_CELLS_PER_DAY * d * active
+    # Per region: s = F @ w, and with_grad F @ [w log c, w c] and f G' @ w (1 - c).
+    sums = np.empty((4 if with_grad else 1, n_regions, n_days))
+    for r in range(n_regions):
+        f = day_rows[r] @ rate_rows
+        np.exp(f, out=f)
+        F, dwindow_dr = _window_lookup(cells[r] @ window_rows, table, with_grad)
+        F *= f
+        sums[0, r] = F @ quad.weights
+        if with_grad:
+            sums[1:3, r] = (F @ w_logc_c).T
+            f *= dwindow_dr
+            sums[3, r] = f @ w_one_minus_c
+    s = sums[0]
     half = 0.5 * d
-    y = np.maximum(p.N * half * s, 0.0)
+    np.maximum(N * half * s, 0.0, out=y.T)
     if not with_grad:
         return y
 
-    s_logc, s_c = (F @ w_logc_c).T
-    f *= dwindow_dr
-    grad = np.empty((d.size, 4))
+    s_logc, s_c, s_window = sums[1:]
+    # theta**2 by the C library's pow, as for a scalar theta: numpy's array square rounds some differently.
+    theta_sq = np.array([[t ** 2] for t in regions[:, 3].tolist()])
     # dy/dt0 = -dy/dd for y = N (d/2) sum_j w_j f(c_j d) G(d (1 - c_j)),
     # where c f'(c d) = f ((k - 1)/d - c/theta).
-    grad[:, 0] = p.N * (half * (s_c / theta - (k - 1.0) / d * s - f @ w_one_minus_c) - 0.5 * s)
-    grad[:, 1] = half * s
-    grad[:, 2] = p.N * half * (s_logc + (log_d - np.log(theta) - digamma(k)) * s)
-    grad[:, 3] = p.N * half * (d / theta**2 * s_c - k / theta * s)
+    grad[..., 0] = (N * (half * (s_c / theta - k_minus_1 / d * s - s_window) - 0.5 * s)).T
+    grad[..., 1] = (half * s).T
+    grad[..., 2] = (N * half * (s_logc + (log_d - log_theta - digamma(k)) * s)).T
+    grad[..., 3] = (N * half * (d / theta_sq * s_c - k / theta * s)).T
     return y, grad
 
 
@@ -300,7 +332,8 @@ def predict_daily(p: RegionParams, inc: IncubationParams, day_grid, quad: Quadra
 
     Days at or before t0 contribute zero; all outputs are nonnegative.
     """
-    return _convolve(p, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=False)
+    row = np.array([[p.t0, p.N, p.k, p.theta]])
+    return _convolve(row, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=False)[:, 0]
 
 
 def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: QuadratureRule):
@@ -316,4 +349,6 @@ def predict_daily_grad(p: RegionParams, inc: IncubationParams, day_grid, quad: Q
     Returns (y, grad) with grad of shape (len(day_grid), 4) in the order
     (t0, N, k, theta); y equals predict_daily exactly.
     """
-    return _convolve(p, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=True)
+    row = np.array([[p.t0, p.N, p.k, p.theta]])
+    y, grad = _convolve(row, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad=True)
+    return y[:, 0], grad[:, 0]

@@ -69,8 +69,13 @@ class ParamVector:
         vals = [getattr(p, name) for p in regions for name in REGION_NAMES]
         return cls(values=np.array([*vals, *noise.as_array()]), n_regions=len(regions))
 
+    @property
+    def regions(self):
+        """The (n_regions, 4) view of the region slots, one row (t0, N, k, theta) per region."""
+        return self.values[: _STRIDE * self.n_regions].reshape(self.n_regions, _STRIDE)
+
     def region(self, r) -> RegionParams:
-        return RegionParams(*self.values[_STRIDE * r : _STRIDE * (r + 1)])
+        return RegionParams(*self.regions[r])
 
     @property
     def noise(self) -> NoiseParams:

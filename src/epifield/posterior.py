@@ -11,7 +11,7 @@ inference fits; `include_jacobian=False` drops it for the MAP in
 constrained space that `vi.mle_fit` computes.
 
 `_log_posterior` is the one assembly behind `ModelContext.logpost` and `.logpost_and_grad`, with one
-`TransformSpec.jacobian` call each; `predict_regions` is the one loop of the forward model over regions.
+`TransformSpec.jacobian` call each; `predict_regions` is the one forward-model call for all regions.
 """
 
 from __future__ import annotations
@@ -83,17 +83,13 @@ class ModelContext:
 
 
 def predict_regions(theta: ParamVector, inc: IncubationParams, day_grid, quad: QuadratureRule, with_grad=False):
-    """Every region's forward model on day_grid: y (N_d, R), or with_grad (y, partials (N_d, R, 4))."""
-    day_grid = _checked_day_grid(day_grid)
-    y = np.empty((day_grid.size, theta.n_regions))
-    grad = np.empty(y.shape + (4,)) if with_grad else None
-    table = _window_table(inc)
-    for r in range(theta.n_regions):
-        if with_grad:
-            y[:, r], grad[:, r] = _convolve(theta.region(r), table, day_grid, quad, with_grad)
-        else:
-            y[:, r] = _convolve(theta.region(r), table, day_grid, quad, with_grad)
-    return (y, grad) if with_grad else y
+    """Every region's forward model on day_grid: y (N_d, R), or with_grad (y, partials (N_d, R, 4)).
+
+    One `model._convolve` call over the (R, 4) block of region parameters: each
+    region's columns equal its own `predict_daily[_grad]`, bit for bit.  A region
+    that `RegionParams` would refuse raises its ValueError.
+    """
+    return _convolve(theta.regions, _window_table(inc), _checked_day_grid(day_grid), quad, with_grad)
 
 
 def _log_posterior(ctx: ModelContext, xhat, include_jacobian, with_grad):

@@ -244,7 +244,8 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
     after how many iterations and evaluations (`nit`, `nfev`), and at which
     objective (`fun`, the negated log-posterior).  Points where the
     covariance fails to factor (or the value overflows) get a large finite
-    penalty so the line search backs off instead of crashing.
+    penalty so the line search backs off instead of crashing.  Each point
+    is evaluated once, so `ctx.logpost_and_grad` runs `res.nfev` times.
     """
     config = config or OptimizerConfig()
     if x0 is None:
@@ -261,11 +262,14 @@ def mle_fit(ctx: ModelContext, config: OptimizerConfig | None = None, x0=None):
         return -v, -g
 
     x = np.asarray(x0, dtype=float)
+    at_start = objective(x)
     # L-BFGS-B clips a start outside the box, so only this check sees a bad one.
-    if objective(x)[0] == _PENALTY:
+    if at_start[0] == _PENALTY:
         raise ValueError("non-finite objective or singular covariance at the MLE starting point")
-    res = minimize(objective, x, jac=True, method="L-BFGS-B", bounds=_mle_bounds(ctx),
-                   options={"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15})
+    # L-BFGS-B's first call is at x0, bit for bit: it takes the check's result.
+    memo = {x.tobytes(): at_start}
+    res = minimize(lambda xk: memo.pop(xk.tobytes(), None) or objective(xk), x, jac=True, method="L-BFGS-B",
+                   bounds=_mle_bounds(ctx), options={"maxiter": config.max_iters, "gtol": 1e-8, "ftol": 1e-15})
     return res.x, res
 
 

@@ -66,6 +66,27 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"duplicate row for \(2020-06-01, a\)"):
             ingest_cases(p, GRAPH2)
 
+    def test_duplicate_named_is_the_first_repeated_row(self, tmp_path):
+        p = tmp_path / "cases.csv"
+        write_rows(p, [("2020-06-01", "a", 1), ("2020-06-02", "b", 2), ("2020-06-01", "b", 3),
+                       ("2020-06-02", "b", 4), ("2020-06-01", "a", 5)])
+        with pytest.raises(ValueError, match=r"^duplicate row for \(2020-06-02, b\)$"):
+            ingest_cases(p, GRAPH2)
+
+    def test_short_row_reads_none_past_its_end(self, tmp_path):
+        p = tmp_path / "cases.csv"
+        p.write_text("date,region_id,count\n2020-06-01,a,1\n\n2020-06-02,b\n")
+        with pytest.raises(ValueError, match=rf"^count None for b on 2020-06-02 is not a number \(line 4 of "):
+            ingest_cases(p, GRAPH2)
+
+    def test_columns_are_found_by_header_name(self, tmp_path):
+        p = tmp_path / "cases.csv"
+        p.write_text("count,note,region_id,date\n7,x,b,2020-06-02\n\n5,,a,2020-06-01\n")
+        with pytest.warns(UserWarning, match="2 missing"):
+            data = ingest_cases(p, GRAPH2)
+        assert data.dates == (dt.date(2020, 6, 1), dt.date(2020, 6, 2))
+        assert np.array_equal(data.counts, [[5, 0], [0, 7]])
+
     def test_unknown_region_error(self, tmp_path):
         p = tmp_path / "cases.csv"
         write_rows(p, [("2020-06-01", "zz", 1)])

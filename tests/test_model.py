@@ -495,6 +495,127 @@ class TestKernelMatchesReference:
             assert np.all(y[inactive] == 0.0) and np.all(g[inactive] == 0.0)
         assert inactive_days > 0
 
+def region_convolve(p, table, day_grid, quad, with_grad):
+    """The one-region kernel that the region-block `_convolve` replaced, kept as its oracle.
+
+    It takes one `RegionParams` and does its per-day algebra on (N_d,) arrays,
+    where `_convolve` does it once for all regions on (R, N_d) arrays.
+    """
+    rate_rows, window_rows, w_logc_c, w_one_minus_c = quad._node_terms
+    active = day_grid > p.t0
+    d = np.where(active, day_grid - p.t0, 1.0)
+    k, theta, w = p.k, p.theta, quad.weights
+    log_d = np.log(d)
+    day_rows = np.empty((d.size, 3))
+    day_rows[:, 0] = d / -theta
+    day_rows[:, 1] = k - 1.0
+    day_rows[:, 2] = (k - 1.0) * log_d - k * np.log(theta) - gammaln(k)
+    f = day_rows @ rate_rows
+    np.exp(f, out=f)
+    cells = np.zeros((d.size, 2))
+    cells[:, 0] = 32 * d * active
+    F, dwindow_dr = model._window_lookup(cells @ window_rows, table, with_grad)
+    F *= f
+    s = F @ w
+    half = 0.5 * d
+    y = np.maximum(p.N * half * s, 0.0)
+    if not with_grad:
+        return y
+
+    s_logc, s_c = (F @ w_logc_c).T
+    f *= dwindow_dr
+    grad = np.empty((d.size, 4))
+    grad[:, 0] = p.N * (half * (s_c / theta - (k - 1.0) / d * s - f @ w_one_minus_c) - 0.5 * s)
+    grad[:, 1] = half * s
+    grad[:, 2] = p.N * half * (s_logc + (log_d - np.log(theta) - digamma(k)) * s)
+    grad[:, 3] = p.N * half * (d / theta**2 * s_c - k / theta * s)
+    return y, grad
+
+
+def _region_loop(block, table, grid, with_grad):
+    """`region_convolve` over the rows of block, stacked as `_convolve` returns them."""
+    regions = [RegionParams(*row) for row in block]
+    if not with_grad:
+        return np.column_stack([region_convolve(p, table, grid, QUAD, False) for p in regions])
+    ys, gs = zip(*(region_convolve(p, table, grid, QUAD, True) for p in regions))
+    return np.column_stack(ys), np.stack(gs, axis=1)
+
+
+class TestRegionBlockKernel:
+    """The region-block `_convolve` against the one-region kernel, bit for bit."""
+
+    TABLE = _window_table(IncubationParams())
+
+    @staticmethod
+    def _block(rng, n_regions, grid):
+        """Rows (t0, N, k, theta), the last with its onset inside the grid, and thetas whose C-library
+        square (theta**2 of a scalar) differs from numpy's array square."""
+        theta = rng.uniform(0.5, 20.0, 20_000)
+        theta = theta[np.array([t ** 2 for t in theta]) != np.square(theta)][:2]  # none where pow rounds exactly
+        block = np.column_stack([
+            rng.uniform(grid[0] - 60.0, grid[0] + 40.0, n_regions), rng.uniform(10.0, 5000.0, n_regions),
+            rng.uniform(2.0, 8.0, n_regions), rng.uniform(0.01, 20.0, n_regions),
+        ])
+        block[: min(n_regions, theta.size), 3] = theta[:n_regions]
+        block[-1, 0] = rng.uniform(grid[0], grid[0] + 40.0)
+        return block
+
+    @pytest.mark.parametrize("n_regions", [1, 3, 33])
+    @pytest.mark.parametrize("n_days", [60, 107, 121])
+    def test_matches_the_region_loop(self, n_regions, n_days):
+        rng = np.random.default_rng(1000 * n_regions + n_days)
+        grid = np.arange(1.0, n_days + 1.0)
+        inactive_days = 0
+        for _ in range(4):
+            block = self._block(rng, n_regions, grid)
+            y_ref, g_ref = _region_loop(block, self.TABLE, grid, with_grad=True)
+            assert np.array_equal(model._convolve(block, self.TABLE, grid, QUAD, with_grad=False), y_ref)
+            y, g = model._convolve(block, self.TABLE, grid, QUAD, with_grad=True)
+            assert np.array_equal(y, y_ref) and np.array_equal(g, g_ref)
+            inactive = grid[:, None] <= block[:, 0]
+            assert np.all(y[inactive] == 0.0) and np.all(g[inactive] == 0.0)
+            inactive_days += int(inactive.sum())
+        assert inactive_days > 0
+
+    def test_predict_daily_is_a_one_row_block(self):
+        grid = np.arange(1.0, 61.0)
+        p = RegionParams(t0=12.5, N=800.0, k=3.3, theta=6.0)
+        y_ref, g_ref = region_convolve(p, self.TABLE, grid, QUAD, with_grad=True)
+        y, g = predict_daily_grad(p, IncubationParams(), grid, QUAD)
+        assert np.array_equal(y, y_ref) and np.array_equal(g, g_ref)
+        assert np.array_equal(predict_daily(p, IncubationParams(), grid, QUAD), y_ref)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 0.0), "N must be positive, got 0.0"),
+        ((1, -5.0), "N must be positive, got -5.0"),
+        ((1, np.nan), "N must be positive, got nan"),
+        ((2, 1.5), "k must be >= 2.0, got 1.5"),
+        ((3, 1e-3), "theta must be >= 0.01, got 0.001"),
+    ])
+    def test_a_refused_row_raises_the_region_params_error(self, bad, message):
+        block = self._block(np.random.default_rng(2), 3, np.arange(1.0, 61.0))
+        (column, value), row = bad, 1
+        block[row, column] = value
+        block[2, 1] = -1.0  # a later refused row: the first one's error is raised
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RegionParams(*block[row])
+        for with_grad in (False, True):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                model._convolve(block, self.TABLE, np.arange(1.0, 61.0), QUAD, with_grad)
+
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_nan_t0_k_or_theta_behaves_as_the_region_loop(self, column):
+        # RegionParams accepts a NaN t0, k or theta; only that region's columns are affected.
+        grid = np.arange(1.0, 108.0)
+        block = self._block(np.random.default_rng(3), 3, grid)
+        block[1, column] = np.nan
+        y_ref, g_ref = _region_loop(block, self.TABLE, grid, with_grad=True)
+        y, g = model._convolve(block, self.TABLE, grid, QUAD, with_grad=True)
+        assert np.array_equal(y, y_ref, equal_nan=True) and np.array_equal(g, g_ref, equal_nan=True)
+        assert np.array_equal(model._convolve(block, self.TABLE, grid, QUAD, with_grad=False), y_ref, equal_nan=True)
+        assert np.all(np.isfinite(y[:, [0, 2]])) and np.all(np.isfinite(g[:, [0, 2]]))
+
+
 def _table_end(inc):
     """r_max: exp(mu + 8.5 sigma) + 1 rounded up to a whole 1/32-day cell."""
     return np.ceil(32.0 * (np.exp(inc.mu + 8.5 * inc.sigma) + 1.0)) / 32.0

@@ -23,6 +23,7 @@ from epifield.posterior import predict_regions
 from epifield.vi import default_initial_guess, mle_fit
 
 from conftest import make_context, random_paramvector
+from test_model import region_convolve
 
 
 def _reference_predictions(ctx, theta):
@@ -132,6 +133,11 @@ def test_predict_regions_matches_the_per_region_loops(case):
     y, g = predict_regions(truth, ctx.incubation, ctx.day_grid, ctx.quad, with_grad=True)
     y_ref, g_ref = _reference_predictions_and_grad(ctx, truth)
     assert np.array_equal(y, y_ref) and np.array_equal(g, g_ref)
+    # and against the one-region kernel that the region block replaced
+    table = model._window_table(ctx.incubation)
+    for r in range(ctx.n_regions):
+        y_r, g_r = region_convolve(truth.region(r), table, ctx.day_grid, ctx.quad, with_grad=True)
+        assert np.array_equal(y[:, r], y_r) and np.array_equal(g[:, r], g_r)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -258,8 +258,24 @@ class TestMleFit:
 
         monkeypatch.setattr(type(ctx), "logpost_and_grad", counting_eval)
         _, res = mle_fit(ctx)
-        # The start-point check, then each of L-BFGS-B's evaluations.
-        assert len(evals) == res.nfev + 1
+        # The start-point check's evaluation serves L-BFGS-B's first call, at the same x0.
+        assert len(evals) == res.nfev
+
+    def test_the_start_check_serves_the_first_evaluation(self, monkeypatch):
+        ctx, _ = make_context(3, 60, seed=24)
+        points = []
+        real_eval = type(ctx).logpost_and_grad
+
+        def recording_eval(self, x, include_jacobian=True):
+            points.append(np.array(x))
+            return real_eval(self, x, include_jacobian)
+
+        monkeypatch.setattr(type(ctx), "logpost_and_grad", recording_eval)
+        x0 = default_initial_guess(ctx)
+        _, res = mle_fit(ctx, OptimizerConfig(max_iters=5), x0=x0)
+        assert len(points) == res.nfev
+        assert np.array_equal(points[0], x0)
+        assert not any(np.array_equal(p, x0) for p in points[1:])
 
 
 class TestFitMfvi:
