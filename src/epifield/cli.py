@@ -118,8 +118,11 @@ def _inputs(cfg):
 
 def _load_fit(inputs, args):
     """The fitted state and the bytes of the fit.json it came from."""
-    fit_bytes = (Path(args.out) / "fit.json").read_bytes()
+    path = Path(args.out) / "fit.json"
+    fit_bytes = path.read_bytes()
     doc = json.loads(fit_bytes)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object; re-run fit")
     if doc["config_hash"] != inputs.data_hash:
         raise ValueError("fit.json was produced from different fit settings, smoothing or dataset; re-run fit")
     return VariationalState(mu=np.array(doc["mu"]), rho=np.array(doc["rho"])), fit_bytes
@@ -183,8 +186,12 @@ def _write_ensemble_npz(ensemble: ForecastEnsemble, key, path):
 
 
 def _read_ensemble_npz(path, key):
-    """The ensemble stored at path, or None if it is missing, unreadable (a file without the
-    resample count, say), has another key or holds a non-finite value (ForecastEnsemble refuses one)."""
+    """The ensemble stored at path, or None if it is missing, not an npz archive (an empty file,
+    say), unreadable (a file without the resample count, say), has another key or holds a
+    non-finite value (ForecastEnsemble refuses one)."""
+    # np.load reads an empty file as EOFError and a .npy file as an array, not an archive.
+    if not zipfile.is_zipfile(path):
+        return None
     try:
         with np.load(path, allow_pickle=False) as doc:
             if str(doc["key"]) != key:

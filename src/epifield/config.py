@@ -109,6 +109,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config file must hold a JSON object, got {json.dumps(doc)}")
         fields = cls.__dataclass_fields__
         unknown = set(doc) - set(fields)
         if unknown:

@@ -97,19 +97,23 @@ def _checked(y_obs, y_pred, graph):
 def _whitened(r, chol):
     """(L_i^{-1}, z_i = L_i^{-1} r_i, summed log-density) for residuals r of shape (N_d, R).
 
-    Each factor is inverted by LAPACK dtrtri; a singular one raises
+    Each factor is inverted in place by LAPACK dtrtri, so chol (C-ordered) is
+    overwritten and returned as L^{-1}; a singular factor raises
     np.linalg.LinAlgError.  The log-density is the log-determinant term plus |z|^2.
     """
     n_days, R = r.shape
-    Linv = chol.copy()
-    # Each day's L_i^T is a Fortran-ordered upper factor in the C-ordered copy, so
+    # L's diagonal, kept before the loop overwrites it with L^{-1}'s; its log waits until
+    # dtrtri has refused a zero on it, so that a singular day is named, not warned about.
+    diag = np.diagonal(chol, axis1=1, axis2=2).copy()
+    # Each day's L_i^T is a Fortran-ordered upper factor in the C-ordered array, so
     # dtrtri (upper, non-unit diagonal, overwrite) inverts it in place.
-    for i, upper in enumerate(Linv.transpose(0, 2, 1)):
+    for i, upper in enumerate(chol.transpose(0, 2, 1)):
         info = dtrtri(upper, 0, 0, 1)[1]
         if info != 0:
             raise np.linalg.LinAlgError(f"Cholesky factor of day {i} is singular (dtrtri info {info})")
+    Linv = chol
     z = np.einsum("irs,is->ir", Linv, r)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    logdets = 2.0 * np.sum(np.log(diag), axis=1)
     value = float(-0.5 * n_days * R * LOG_2PI - 0.5 * np.sum(logdets) - 0.5 * np.sum(z**2))
     return Linv, z, value
 

@@ -127,11 +127,6 @@ def elbo_estimate(state: VariationalState, target, n_samples, seed=0, eps=None):
     return -gaussian_entropy(state.sigma) - float(np.mean(vals))
 
 
-def _evaluate(target, xs):
-    """target.logpost_and_grad at each row of xs, in row order: a list of (value, gradient)."""
-    return [target.logpost_and_grad(x) for x in xs]
-
-
 def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=None, helpers=None):
     """Reparametrization-trick gradient of the objective.
 
@@ -139,20 +134,21 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     the unconstrained log-posterior gradient through d x / d mu = 1 and
     d x / d rho = sigma'(rho) * eps.  Returns (elbo, grad_mu, grad_rho).
 
-    The draws are evaluated one after another in this process, or, given
-    `helpers` (`_ElboHelpers` started on this target), in contiguous blocks
-    spread over the helper processes and this one.  Either way the values
-    and gradients are summed in draw order, so both give the same bits.
+    The draws are evaluated by `helpers.map`, in contiguous blocks spread
+    over the helper processes and this one; `helpers` must run
+    `target.logpost_and_grad` at each row of a block, in row order, as
+    `fit_mfvi`'s do.  Without `helpers`, every draw is evaluated here.
+    The values and gradients are summed in draw order, so any helper
+    count gives the same bits.
     """
-    if helpers is not None and helpers.target is not target:
-        raise ValueError("helpers were started on another target")
+    if helpers is None:
+        helpers = Helpers(lambda xs: [target.logpost_and_grad(x) for x in xs], 0)
     eps, xs = _draws(state, n_samples, seed, eps)
     sig_prime = expit(state.rho)
-    results = _evaluate(target, xs) if helpers is None else helpers.evaluate(xs)
     vals = np.empty(len(xs))
     g_mu = np.zeros(state.dim)
     g_rho = np.zeros(state.dim)
-    for s, (val, g) in enumerate(results):
+    for s, (val, g) in enumerate(r for block in helpers.map(xs) for r in block):
         vals[s] = val
         g_mu += g
         g_rho += g * eps[s]
@@ -161,19 +157,6 @@ def elbo_grad_reparam(state: VariationalState, target, n_samples, seed=0, eps=No
     g_rho = -sig_prime / state.sigma - sig_prime * g_rho / n
     elbo = -gaussian_entropy(state.sigma) - float(np.mean(vals))
     return elbo, g_mu, g_rho
-
-
-class _ElboHelpers(Helpers):
-    """Helpers that evaluate contiguous blocks of ELBO draws on the target they were forked with."""
-
-    def __init__(self, target, n_helpers):
-        self.target = target
-        super().__init__(lambda xs: _evaluate(target, xs), n_helpers)
-
-    def evaluate(self, xs):
-        """self.target.logpost_and_grad at each row of xs, in row order, like `_evaluate`;
-        helper i evaluates block i + 1 of the contiguous blocks that `map` splits xs into."""
-        return [r for block in self.map(xs) for r in block]
 
 
 def elbo_grad_score(state: VariationalState, target, n_samples, seed=0, eps=None):
@@ -303,7 +286,7 @@ def fit_mfvi(ctx: ModelContext, config: OptimizerConfig | None = None, mu0=None,
     trace = ElboTrace()
     d = state.dim
     bad_streak = 0
-    with _ElboHelpers(ctx, helper_count(config.n_samples)) as helpers:
+    with Helpers(lambda xs: [ctx.logpost_and_grad(x) for x in xs], helper_count(config.n_samples)) as helpers:
         t_start = time.perf_counter()
         for it in range(config.max_iters):
             eps = sample_epsilon(config.n_samples, d, seed=[config.seed, it])

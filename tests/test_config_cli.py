@@ -209,6 +209,20 @@ class TestCliErrors:
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         assert main(["fit", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", ["[]", "[1]", "null", "5", '"x"'])
+    def test_config_that_is_not_an_object_is_data_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"data error: a config file must hold a JSON object, got {text}" in capsys.readouterr().err
+
+    def test_fit_json_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        args = _simulate_and_fit(tmp_path)
+        (tmp_path / "fit.json").write_text("[]")
+        capsys.readouterr()
+        assert main(["detect", *args]) == 2
+        assert f"data error: {tmp_path / 'fit.json'} must hold a JSON object; re-run fit" in capsys.readouterr().err
+
     def test_linalg_failure_is_numerical_error(self, pipeline, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -645,6 +659,20 @@ class TestEnsembleArtifact:
         npz.write_bytes(b"not an npz file")
         assert self._drawn_by(draws, ["detect", *args]) == 1
         assert (tmp_path / "alarms.csv").read_bytes() == reused["alarms.csv"]
+
+    @pytest.mark.parametrize("content", ["empty", "npy"])
+    def test_an_empty_or_npy_file_is_redrawn(self, tmp_path, draws, content):
+        args = _simulate_and_fit(tmp_path)
+        npz = tmp_path / "ensemble.npz"
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        alarms, stored = (tmp_path / "alarms.csv").read_bytes(), _npz_arrays(npz)
+        with open(npz, "wb") as fh:
+            if content == "npy":
+                np.save(fh, stored["samples"])
+        assert self._drawn_by(draws, ["detect", *args]) == 1
+        rewritten = _npz_arrays(npz)
+        assert rewritten.keys() == stored.keys() and all(np.array_equal(rewritten[k], stored[k]) for k in stored)
+        assert (tmp_path / "alarms.csv").read_bytes() == alarms
 
     def test_refit_or_raw_toggle_redraws(self, tmp_path, draws, capsys):
         args = _simulate_and_fit(tmp_path)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from epifield import (
     OptimizerConfig,
@@ -15,14 +16,13 @@ from epifield import (
     mle_fit,
 )
 from epifield.checks import elbo_gradient_max_relerr, loglik_gradient_max_relerr
-from epifield.helpers import helper_count
+from epifield.helpers import Helpers, helper_count
 from epifield.vi import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
     DivergenceError,
-    _ElboHelpers,
     _mle_bounds,
     default_initial_guess,
     gaussian_entropy,
@@ -366,11 +366,32 @@ class TestHelpers:
         ctx, _ = make_context(3, 40, seed=3)
         state = VariationalState.around(default_initial_guess(ctx))
         oracle = elbo_grad_reparam(state, ctx, 10, seed=5)
-        with _ElboHelpers(ctx, 3) as helpers:  # blocks of 3, 3, 2 and 2 draws
+        with Helpers(lambda xs: [ctx.logpost_and_grad(x) for x in xs], 3) as helpers:  # blocks of 3, 3, 2 and 2
             got = elbo_grad_reparam(state, ctx, 10, seed=5, helpers=helpers)
-            with pytest.raises(ValueError, match="another target"):
-                elbo_grad_reparam(state, make_context(3, 40, seed=4)[0], 10, seed=5, helpers=helpers)
         assert got[0] == oracle[0] and all(np.array_equal(a, b) for a, b in zip(got[1:], oracle[1:]))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_helpers, n_samples", [(0, 10), (1, 10), (3, 10), (3, 2)],
+                             ids=["none", "one", "three", "two_draws_four_blocks"])
+    def test_equals_the_loop_over_draws(self, n_helpers, n_samples):
+        # Oracle: logpost_and_grad at each draw here, summed in draw order; with 2 draws over
+        # 4 blocks, two blocks are empty.
+        ctx, _ = make_context(3, 40, seed=3)
+        state = VariationalState.around(default_initial_guess(ctx), sigma=0.05)
+        eps = sample_epsilon(n_samples, ctx.dim, seed=9)
+        vals, g_mu, g_eps = [], np.zeros(ctx.dim), np.zeros(ctx.dim)
+        for e in eps:
+            val, g = ctx.logpost_and_grad(state.mu + state.sigma * e)
+            vals.append(val)
+            g_mu += g
+            g_eps += g * e
+        sig_prime = expit(state.rho)
+        elbo = -gaussian_entropy(state.sigma) - float(np.mean(vals))
+        with Helpers(lambda xs: [ctx.logpost_and_grad(x) for x in xs], n_helpers) as helpers:
+            got = elbo_grad_reparam(state, ctx, n_samples, eps=eps, helpers=helpers if n_helpers else None)
+        assert got[0] == elbo
+        assert np.array_equal(got[1], -g_mu / n_samples)
+        assert np.array_equal(got[2], -sig_prime / state.sigma - sig_prime * g_eps / n_samples)
         assert multiprocessing.active_children() == []
 
     def test_helper_count_is_capped_at_the_measured_one(self, cpus):
